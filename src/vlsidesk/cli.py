@@ -9,9 +9,10 @@ machine-readable error object on stderr for both failure kinds.
 """
 
 import argparse
+import dataclasses
+import functools
 import json
 import sys
-from fractions import Fraction
 
 import jsonschema
 
@@ -97,36 +98,43 @@ def _schema(props, required):
     }
 
 
-def _q(params, key, default=None):
-    if key not in params or params[key] is None:
-        return default
-    return parse_quantity(params[key])
+def _parse(value, schema):
+    """``value`` with every field that ``schema`` types as NUM parsed by
+    ``parse_quantity``, nested ones included; ``value`` itself is not changed."""
+    if "$ref" in schema:
+        schema = _DEFS[schema["$ref"].rsplit("/", 1)[1]]
+    if schema == NUM:
+        return parse_quantity(value)
+    if isinstance(value, list) and "items" in schema:
+        return [_parse(v, schema["items"]) for v in value]
+    if isinstance(value, dict):
+        props, extra = schema.get("properties", {}), schema.get("additionalProperties")
+        extra = extra if isinstance(extra, dict) else {}
+        return {k: _parse(v, props.get(k, extra)) for k, v in value.items()}
+    return value
 
 
-def _network(obj):
-    def convert(o):
-        if "input" in o:
-            return gates.Switch(o["input"], parse_quantity(o.get("width", 1.0)))
-        key = "series" if "series" in o else "parallel"
-        cls = gates.Series if key == "series" else gates.Parallel
-        return cls(tuple(convert(c) for c in o[key]))
-    return convert(obj)
+def _pick(params, *keys):
+    """The present ``keys`` of ``params``; the library's defaults fill the rest."""
+    return {k: params[k] for k in keys if k in params}
 
 
-def _mos_device(params, **overrides):
-    kwargs = {}
-    for src, dst in (("polarity", "polarity"), ("k_prime", None), ("vt0", None),
-                     ("gamma", None), ("phi_f2", None), ("lambda", "lambda_"),
-                     ("w", None), ("l", None), ("l_d", None), ("t_ox", None),
-                     ("c_ox", None), ("n_d", None), ("n_a_sub", None),
-                     ("n_a_sw", None), ("x_j", None), ("x_j_sw", None),
-                     ("y", None), ("m_j", None), ("m_jsw", None)):
-        if src in params and params[src] is not None:
-            key = dst or src
-            val = params[src] if src == "polarity" else parse_quantity(params[src])
-            kwargs[key] = val
-    kwargs.update(overrides)
-    return device.MosDevice(**kwargs)
+def _take(res, **units):
+    """Result rows (name, res[name], unit) for the names ``res`` holds."""
+    return [(k, res[k], u) for k, u in units.items() if k in res]
+
+
+_MOS_FIELDS = {f.name for f in dataclasses.fields(device.MosDevice)}
+_MOS_RENAMED = {"lambda": "lambda_", "wl": "w"}
+
+
+def _mos_device(params):
+    """Split ``params`` into a MosDevice and the params that are not device
+    fields (schema ``lambda`` and ``wl`` are the fields ``lambda_`` and ``w``)."""
+    names = {k: _MOS_RENAMED.get(k, k) for k in params}
+    dev = device.MosDevice(**{names[k]: v for k, v in params.items()
+                              if names[k] in _MOS_FIELDS})
+    return dev, {k: v for k, v in params.items() if names[k] not in _MOS_FIELDS}
 
 
 _DEVICE_PROPS = {
@@ -153,20 +161,16 @@ def analysis(name, props, required):
 @analysis("threshold_voltage",
           {**_DEVICE_PROPS, "v_sb": NUM}, ["vt0", "v_sb"])
 def _run_threshold(params):
-    dev = _mos_device(params)
-    vt = device.threshold_voltage(dev, _q(params, "v_sb"))
-    return [("v_t", vt, "V")], []
+    dev, rest = _mos_device(params)
+    return [("v_t", device.threshold_voltage(dev, **rest), "V")], []
 
 
 @analysis("bias_point",
           {**_DEVICE_PROPS, "v_gs": NUM, "v_ds": NUM, "v_sb": NUM},
           ["k_prime", "vt0", "w", "l", "v_gs", "v_ds"])
 def _run_bias(params):
-    dev = _mos_device(params)
-    op = device.bias_point(dev, _q(params, "v_gs"), _q(params, "v_ds"),
-                           _q(params, "v_sb", 0.0))
-    return [("region", op.region, ""), ("i_d", op.i_d, "A"),
-            ("v_t", op.v_t, "V")], []
+    dev, rest = _mos_device(params)
+    return _take(vars(device.bias_point(dev, **rest)), region="", i_d="A", v_t="V"), []
 
 
 @analysis("mos_capacitances",
@@ -174,20 +178,17 @@ def _run_bias(params):
            "v_reverse": NUM},
           ["w", "l", "region"])
 def _run_caps(params):
-    dev = _mos_device(params)
-    rep = device.mos_capacitances(dev, params["region"], _q(params, "v_reverse", 0.0))
-    return [("c_gb", rep.c_gb, "F"), ("c_gs", rep.c_gs, "F"),
-            ("c_gd", rep.c_gd, "F"), ("c_ox_total", rep.c_ox_total, "F"),
-            ("c_overlap", rep.c_overlap, "F"), ("c_bottom", rep.c_bottom, "F"),
-            ("c_sidewall", rep.c_sidewall, "F"),
-            ("c_junction_total", rep.c_junction_total, "F")], []
+    dev, rest = _mos_device(params)
+    return _take(vars(device.mos_capacitances(dev, **rest)), c_gb="F", c_gs="F",
+                 c_gd="F", c_ox_total="F", c_overlap="F", c_bottom="F",
+                 c_sidewall="F", c_junction_total="F"), []
 
 
 @analysis("scale_factors",
           {"mode": {"enum": ["general", "constant_field", "constant_voltage"]},
            "s": NUM, "m": NUM}, ["mode", "s"])
 def _run_scale(params):
-    sf = device.scale_factors(params["mode"], _q(params, "s"), _q(params, "m"))
+    sf = device.scale_factors(**params)
     return [(f"factor_{k}", v, "x") for k, v in sf.factors.items()], []
 
 
@@ -199,16 +200,10 @@ def _run_scale(params):
            "r_load": NUM},
           ["config", "v_dd"])
 def _run_vtc(params):
-    kwargs = {k: _q(params, k) for k in
-              ("k_n", "vt_n", "k_p", "vt_p", "k_driver", "vt_driver",
-               "k_load", "vt_load", "r_load") if params.get(k) is not None}
-    res = device.inverter_vtc(params["config"], _q(params, "v_dd"), **kwargs)
-    diag = [f"regions at v_il: {res.regions['at_v_il']}",
-            f"regions at v_ih: {res.regions['at_v_ih']}"]
-    return [("v_ol", res.v_ol, "V"), ("v_oh", res.v_oh, "V"),
-            ("v_il", res.v_il, "V"), ("v_ih", res.v_ih, "V"),
-            ("v_m", res.v_m, "V"), ("nm_l", res.nm_l, "V"),
-            ("nm_h", res.nm_h, "V")], diag
+    res = device.inverter_vtc(**params)
+    diag = [f"regions at {k.removeprefix('at_')}: {v}" for k, v in res.regions.items()]
+    return _take(vars(res), v_ol="V", v_oh="V", v_il="V", v_ih="V", v_m="V",
+                 nm_l="V", nm_h="V"), diag
 
 
 @analysis("noise_margins",
@@ -216,10 +211,7 @@ def _run_vtc(params):
            "receiver": {"$ref": "#/$defs/vtc_points"}},
           ["driver", "receiver"])
 def _run_nm(params):
-    def pts(obj):
-        return {k: parse_quantity(v) for k, v in obj.items()}
-    nm = device.noise_margins(pts(params["driver"]), pts(params["receiver"]))
-    return [("nm_l", nm["nm_l"], "V"), ("nm_h", nm["nm_h"], "V")], []
+    return _take(device.noise_margins(**params), nm_l="V", nm_h="V"), []
 
 
 # --- gates -----------------------------------------------------------------
@@ -228,10 +220,8 @@ _GATE_PROPS = {"expr": STR, "w_n": NUM, "w_p": NUM, "mu": NUM}
 
 
 def _gate_from(params):
-    return gates.compound_gate(params["expr"],
-                               reference=(_q(params, "w_n", 1.0),
-                                          _q(params, "w_p", 4.0)),
-                               mu=_q(params, "mu", 4.0))
+    reference = (params.get("w_n", 1.0), params.get("w_p", 4.0))
+    return gates.compound_gate(params["expr"], reference, **_pick(params, "mu"))
 
 
 @analysis("compound_gate", _GATE_PROPS, ["expr"])
@@ -244,20 +234,16 @@ def _run_compound(params):
 
 @analysis("delay_bounds", {**_GATE_PROPS, "c_l": NUM}, ["expr"])
 def _run_delay_bounds(params):
-    g = _gate_from(params)
-    b = gates.delay_bounds(g, _q(params, "c_l", 1.0))
-    return [("fall_worst", b["fall"]["worst"], "R_ref*C_L"),
-            ("fall_best", b["fall"]["best"], "R_ref*C_L"),
-            ("rise_worst", b["rise"]["worst"], "R_ref*C_L"),
-            ("rise_best", b["rise"]["best"], "R_ref*C_L"),
-            ("fall_worst_over_best", b["ratios"]["fall"], ""),
-            ("rise_worst_over_best", b["ratios"]["rise"], "")], []
+    b = gates.delay_bounds(_gate_from(params), **_pick(params, "c_l"))
+    edges = ("fall", "rise")
+    return [(f"{e}_{k}", b[e][k], "R_ref*C_L") for e in edges
+            for k in ("worst", "best")] \
+        + [(f"{e}_worst_over_best", b["ratios"][e], "") for e in edges], []
 
 
 @analysis("common_euler_ordering", _GATE_PROPS, ["expr"])
 def _run_euler(params):
-    g = _gate_from(params)
-    ordering = gates.common_euler_ordering(g)
+    ordering = gates.common_euler_ordering(_gate_from(params))
     return [("found", ordering is not None, ""),
             ("ordering", ordering, "")], []
 
@@ -267,11 +253,7 @@ def _run_euler(params):
            "v_dd": NUM, "v_internal_init": NUM},
           ["c_out", "c_exposed"])
 def _run_charge_share(params):
-    case = gates.ChargeShareCase(
-        c_out=_q(params, "c_out"),
-        c_exposed=tuple(parse_quantity(c) for c in params["c_exposed"]),
-        v_dd=_q(params, "v_dd", 1.0),
-        v_internal_init=_q(params, "v_internal_init", 0.0))
+    case = gates.ChargeShareCase(**params)
     v = gates.charge_share_voltage(case)
     return [("v_out", v, "V"), ("v_out_over_v_dd", v / case.v_dd, "")], []
 
@@ -281,8 +263,8 @@ def _run_charge_share(params):
            "assignment": {"type": "object", "additionalProperties": INT}},
           ["network", "assignment"])
 def _run_eval_net(params):
-    net = _network(params["network"])
-    conducts = gates.evaluate_network(net, params["assignment"])
+    conducts = gates.evaluate_network(gates.network_from_json(params["network"]),
+                                      params["assignment"])
     return [("conducts", int(conducts), "")], []
 
 
@@ -296,11 +278,9 @@ def _run_eval_net(params):
            "sink": STR, "scale": {"enum": ["tau", 0.69, "0.69"]}},
           ["root", "edges", "caps", "sink"])
 def _run_elmore(params):
-    tree = interconnect.RcTree.from_edges(
-        params["root"],
-        [(p, c, parse_quantity(r)) for p, c, r in params["edges"]],
-        {n: parse_quantity(c) for n, c in params["caps"].items()})
-    tau = interconnect.elmore(tree, params["sink"], params.get("scale", "tau"))
+    edges = [(p, c, parse_quantity(r)) for p, c, r in params["edges"]]
+    tree = interconnect.RcTree.from_edges(params["root"], edges, params["caps"])
+    tau = interconnect.elmore(tree, params["sink"], **_pick(params, "scale"))
     return [("delay", tau, "s")], []
 
 
@@ -310,20 +290,18 @@ _WIRE_PROPS = {
 }
 
 
-def _wire(params):
-    obj = params["wire"] if "wire" in params else params
-    return interconnect.WireSpec(
-        length=parse_quantity(obj["length"]), width=parse_quantity(obj["width"]),
-        r_sheet=parse_quantity(obj["r_sheet"]),
-        c_area=parse_quantity(obj.get("c_area", 0.0)),
-        c_fringe_per_edge=parse_quantity(obj.get("c_fringe_per_edge", 0.0)),
-        fringe_edges=int(obj.get("fringe_edges", 2)))
-
-
 @analysis("wire_rc", _WIRE_PROPS, ["length", "width", "r_sheet"])
 def _run_wire_rc(params):
-    rc = interconnect.wire_rc(_wire(params))
-    return [("r", rc["r"], "ohm"), ("c", rc["c"], "F")], []
+    return _take(interconnect.wire_rc(interconnect.WireSpec(**params)),
+                 r="ohm", c="F"), []
+
+
+def _buffer_model(obj):
+    if "fixed_delay" in obj:
+        return interconnect.FixedDelay(parse_quantity(obj["fixed_delay"]))
+    return interconnect.RcDriver(
+        r_drive=parse_quantity(obj["r_drive"]),
+        **{k: parse_quantity(obj[k]) for k in ("c_diff_out", "c_gate_in") if k in obj})
 
 
 @analysis("buffered_wire_delay",
@@ -334,30 +312,19 @@ def _run_wire_rc(params):
            "load_c": NUM, "wire_delay_coeff": NUM},
           ["wire", "n_buffers", "buffer"])
 def _run_buffered(params):
-    def model(obj):
-        if obj is None:
-            return None
-        if "fixed_delay" in obj:
-            return interconnect.FixedDelay(parse_quantity(obj["fixed_delay"]))
-        return interconnect.RcDriver(
-            r_drive=parse_quantity(obj["r_drive"]),
-            c_diff_out=parse_quantity(obj.get("c_diff_out", 0.0)),
-            c_gate_in=parse_quantity(obj.get("c_gate_in", 0.0)))
     res = interconnect.buffered_wire_delay(
-        _wire(params), params["n_buffers"], model(params["buffer"]),
-        driver=model(params.get("driver")), load_c=_q(params, "load_c", 0.0),
-        wire_delay_coeff=_q(params, "wire_delay_coeff", 1.0))
+        interconnect.WireSpec(**params["wire"]), params["n_buffers"],
+        _buffer_model(params["buffer"]),
+        driver=_buffer_model(params["driver"]) if "driver" in params else None,
+        **_pick(params, "load_c", "wire_delay_coeff"))
     delays = {str(n): d for n, d in sorted(res["delays"].items())}
-    return [("delays", delays, "s"), ("optimal_n", res["optimal_n"], ""),
-            ("optimal_delay", res["optimal_delay"], "s")], []
+    return [("delays", delays, "s")] + _take(res, optimal_n="", optimal_delay="s"), []
 
 
 @analysis("inverter_chain_plan", {"f": NUM, "cd_over_cg": NUM}, ["f"])
 def _run_chain(params):
-    res = interconnect.inverter_chain_plan(_q(params, "f"),
-                                           _q(params, "cd_over_cg", 1.0))
-    return [("alpha", res["alpha"], ""),
-            ("total_inverters", res["total_inverters"], "")], []
+    return _take(interconnect.inverter_chain_plan(**params),
+                 alpha="", total_inverters=""), []
 
 
 @analysis("output_slew",
@@ -366,12 +333,9 @@ def _run_chain(params):
            "i_avg": NUM},
           ["c_load", "v_dd", "method"])
 def _run_slew(params):
-    dev = _mos_device(params) if "k_prime" in params else device.MosDevice()
-    t = interconnect.output_slew(
-        dev, _q(params, "c_load"), _q(params, "v_dd"),
-        _q(params, "v_from_pct", 0.9), _q(params, "v_to_pct", 0.1),
-        method=params["method"], i_avg=_q(params, "i_avg"))
-    return [("t", t, "s")], []
+    dev, rest = _mos_device(params)
+    dev = dev if "k_prime" in params else device.MosDevice()
+    return [("t", interconnect.output_slew(dev, **rest), "s")], []
 
 
 # --- effort ----------------------------------------------------------------
@@ -381,9 +345,9 @@ def _sized_gate(obj, mu):
     if isinstance(pun, dict) and "pullup_load" in pun:
         pun = effort.PullupLoad(parse_quantity(pun["pullup_load"]))
     else:
-        pun = _network(pun)
-    return gates.CompoundGate(pdn=_network(obj["pdn"]), pun=pun, w_n=1.0,
-                              w_p=mu, mu=mu)
+        pun = gates.network_from_json(pun)
+    return gates.CompoundGate(pdn=gates.network_from_json(obj["pdn"]), pun=pun,
+                              w_n=1.0, w_p=mu, mu=mu)
 
 
 @analysis("derive_template",
@@ -392,28 +356,22 @@ def _sized_gate(obj, mu):
            "reference": {"type": "object"}},
           ["pdn", "pun"])
 def _run_derive_template(params):
-    mu = _q(params, "mu", 2.0)
-    gate = _sized_gate(params, mu)
-    if "reference" in params:
-        ref = _sized_gate(params["reference"], _q(params["reference"], "mu", mu)
-                          if isinstance(params["reference"], dict) else mu)
-    else:
-        ref = gates.CompoundGate(pdn=gates.Switch("a", 1.0),
-                                 pun=gates.Switch("a", mu), w_n=1.0, w_p=mu, mu=mu)
-    tpl = effort.derive_template(gate, ref, cd_over_cg=_q(params, "cd_over_cg", 1.0))
-    return [("g_rise", dict(sorted(tpl.g_rise.items())), ""),
-            ("g_fall", dict(sorted(tpl.g_fall.items())), ""),
-            ("p_rise", tpl.p_rise, ""), ("p_fall", tpl.p_fall, ""),
-            ("c_in", dict(sorted(tpl.c_in.items())), "C_g")], []
+    mu = params.get("mu", 2.0)
+    ref = params.get("reference",
+                     {"pdn": {"input": "a"}, "pun": {"input": "a", "width": mu}})
+    tpl = effort.derive_template(
+        _sized_gate(params, mu), _sized_gate(ref, parse_quantity(ref.get("mu", mu))),
+        **_pick(params, "cd_over_cg"))
+    res = {k: dict(sorted(v.items())) if isinstance(v, dict) else v
+           for k, v in vars(tpl).items()}
+    return _take(res, g_rise="", g_fall="", p_rise="", p_fall="", c_in="C_g"), []
 
 
 @analysis("nand_nor_effort", {"n": INT, "mu": NUM}, ["n", "mu"])
 def _run_nand_nor(params):
-    res = effort.nand_nor_effort(params["n"], _q(params, "mu"))
-    return [("nand_per_input", res["nand"]["per_input"], ""),
-            ("nand_total", res["nand"]["total"], ""),
-            ("nor_per_input", res["nor"]["per_input"], ""),
-            ("nor_total", res["nor"]["total"], "")], []
+    res = effort.nand_nor_effort(**params)
+    return [(f"{g}_{k}", res[g][k], "") for g in ("nand", "nor")
+            for k in ("per_input", "total")], []
 
 
 _STAGE_ITEM = {"type": "object", "required": ["g", "p"],
@@ -422,12 +380,8 @@ _STAGE_ITEM = {"type": "object", "required": ["g", "p"],
 
 
 def _path(params):
-    stages = tuple(effort.Stage(g=parse_quantity(s["g"]), p=parse_quantity(s["p"]),
-                                b=parse_quantity(s.get("b", 1.0)),
-                                name=s.get("name", ""))
-                   for s in params["stages"])
-    return effort.PathSpec(stages=stages, c_in=_q(params, "c_in"),
-                           c_load=_q(params, "c_load"))
+    return effort.PathSpec(stages=[effort.Stage(**s) for s in params["stages"]],
+                           c_in=params["c_in"], c_load=params["c_load"])
 
 
 _PATH_PROPS = {"stages": {"type": "array", "items": _STAGE_ITEM, "minItems": 1},
@@ -439,10 +393,8 @@ def _run_path_delay(params):
     path = _path(params)
     res = effort.path_delay(path)
     caps = effort.size_stages(path, res["f_hat"])
-    return [("F", res["F"], ""), ("G", res["G"], ""), ("B", res["B"], ""),
-            ("H", res["H"], ""), ("f_hat", res["f_hat"], ""),
-            ("p_total", res["p_total"], ""), ("d_hat", res["d_hat"], "FO1"),
-            ("stage_caps", caps, "C_g")], []
+    return _take(res, F="", G="", B="", H="", f_hat="", p_total="", d_hat="FO1") \
+        + [("stage_caps", caps, "C_g")], []
 
 
 @analysis("optimize_path",
@@ -453,16 +405,11 @@ def _run_path_delay(params):
 def _run_optimize(params):
     res = effort.optimize_path(
         _path(params),
-        allow_added_inverters=params.get("allow_added_inverters", True),
-        polarity=params.get("polarity", "any"),
-        rho=_q(params, "rho", effort.RHO_DEFAULT),
-        p_inv=_q(params, "p_inv", 1.0))
+        **_pick(params, "allow_added_inverters", "polarity", "rho", "p_inv"))
     diag = [f"candidate N={k}: D={format_number(v)}"
             for k, v in res["candidates"].items()]
-    return [("n", res["n"], "stages"),
-            ("added_inverters", res["added_inverters"], ""),
-            ("d", res["d"], "FO1"), ("f_hat", res["f_hat"], ""),
-            ("stage_caps", res["stage_caps"], "C_g")], diag
+    return _take(res, n="stages", added_inverters="", d="FO1", f_hat="",
+                 stage_caps="C_g"), diag
 
 
 @analysis("design_fork",
@@ -470,15 +417,10 @@ def _run_optimize(params):
            "p_inv": NUM},
           ["c_in_total", "branch_load"])
 def _run_fork(params):
-    spec = effort.ForkSpec(c_in_total=_q(params, "c_in_total"),
-                           branch_load=_q(params, "branch_load"),
-                           m=params.get("m", 0), p_inv=_q(params, "p_inv", 1.0))
-    res = effort.design_fork(spec, rho=_q(params, "rho", effort.RHO_DEFAULT))
-    return [("m", res["m"], "stages"), ("x", res["x"], "C_g"),
-            ("x_short", res["x_short"], "C_g"), ("d_fork", res["d_fork"], "FO1"),
-            ("f_long", res["f_long"], ""), ("f_short", res["f_short"], ""),
-            ("long_caps", res["long_caps"], "C_g"),
-            ("short_caps", res["short_caps"], "C_g")], []
+    spec = effort.ForkSpec(**_pick(params, "c_in_total", "branch_load", "m", "p_inv"))
+    return _take(effort.design_fork(spec, **_pick(params, "rho")),
+                 m="stages", x="C_g", x_short="C_g", d_fork="FO1", f_long="",
+                 f_short="", long_caps="C_g", short_caps="C_g"), []
 
 
 # --- timing ----------------------------------------------------------------
@@ -496,25 +438,12 @@ _EDGE_ITEM = {"type": "object", "required": ["launch", "capture"],
            "edges": {"type": "array", "items": _EDGE_ITEM, "minItems": 1}},
           ["period", "edges"])
 def _run_check_timing(params):
-    edges = [timing.RegEdge(
-        launch=e["launch"], capture=e["capture"],
-        t_cq_min=parse_quantity(e.get("t_cq_min", 0.0)),
-        t_cq_max=parse_quantity(e.get("t_cq_max", 0.0)),
-        t_setup=parse_quantity(e.get("t_setup", 0.0)),
-        t_hold=parse_quantity(e.get("t_hold", 0.0)),
-        d_min=parse_quantity(e.get("d_min", 0.0)),
-        d_max=parse_quantity(e.get("d_max", 0.0)),
-        skew=parse_quantity(e.get("skew", 0.0)),
-        skew_uncertainty=parse_quantity(e.get("skew_uncertainty", 0.0)))
-        for e in params["edges"]]
-    res = timing.check_timing(edges, _q(params, "period"))
+    res = timing.check_timing([timing.RegEdge(**e) for e in params["edges"]],
+                              params["period"])
     rows = [{"edge": f"{e['launch']}->{e['capture']}",
-             "setup_slack": e["setup_slack"], "hold_slack": e["hold_slack"],
-             "min_period": e["min_period"], "hold_bound": e["hold_bound"],
-             "setup_violation": e["setup_violation"],
-             "hold_violation": e["hold_violation"]} for e in res["edges"]]
-    return [("edges", rows, "s"), ("t_min", res["t_min"], "s"),
-            ("hold_bound", res["hold_bound"], "s")], []
+             **{k: v for k, v in e.items() if k not in ("launch", "capture")}}
+            for e in res["edges"]]
+    return [("edges", rows, "s")] + _take(res, t_min="s", hold_bound="s"), []
 
 
 @analysis("pipeline_metrics",
@@ -523,17 +452,8 @@ def _run_check_timing(params):
            "total_comb_delay": NUM},
           ["stage_delays"])
 def _run_pipeline(params):
-    res = timing.pipeline_metrics(
-        [parse_quantity(d) for d in params["stage_delays"]],
-        n_items=params.get("n_items", 1),
-        reg_overhead=_q(params, "reg_overhead", 0.0),
-        target_period=_q(params, "target_period"),
-        total_comb_delay=_q(params, "total_comb_delay"))
-    out = [("period", res["period"], "s"), ("f_max", res["f_max"], "Hz"),
-           ("total_latency", res["total_latency"], "s")]
-    if "n_stages_needed" in res:
-        out.append(("n_stages_needed", res["n_stages_needed"], "stages"))
-    return out, []
+    return _take(timing.pipeline_metrics(**params), period="s", f_max="Hz",
+                 total_latency="s", n_stages_needed="stages"), []
 
 
 @analysis("ripple_chain",
@@ -541,14 +461,8 @@ def _run_pipeline(params):
            "bin_to_bout": NUM, "n_blocks": INT},
           ["xy_to_s", "xy_to_bout", "bin_to_s", "bin_to_bout", "n_blocks"])
 def _run_ripple(params):
-    arcs = timing.RippleArcs(
-        xy_to_s=_q(params, "xy_to_s"), xy_to_bout=_q(params, "xy_to_bout"),
-        bin_to_s=_q(params, "bin_to_s"), bin_to_bout=_q(params, "bin_to_bout"),
-        n_blocks=params["n_blocks"])
-    res = timing.ripple_chain(arcs)
-    return [("s_stable", res["s_stable"], "s"),
-            ("bout_stable", res["bout_stable"], "s"),
-            ("critical_delay", res["critical_delay"], "s")], []
+    return _take(timing.ripple_chain(timing.RippleArcs(**params)),
+                 s_stable="s", bout_stable="s", critical_delay="s"), []
 
 
 _RING_PROPS = {
@@ -564,19 +478,12 @@ _RING_PROPS = {
 
 @analysis("ring_analyze", _RING_PROPS, ["stages"])
 def _run_ring(params):
-    spec = timing.RingSpec(
-        stages=tuple((parse_quantity(a), parse_quantity(b))
-                     for a, b in params["stages"]),
-        probe_node=params.get("probe_node", 0))
-    res = timing.ring_analyze(spec)
-    out = [("period", res["period"], "s"), ("t_high", res["t_high"], "s"),
-           ("t_low", res["t_low"], "s"), ("duty", res["duty"], "")]
+    spec = timing.RingSpec(**_pick(params, "stages", "probe_node"))
+    out = _take(timing.ring_analyze(spec), period="s", t_high="s", t_low="s", duty="")
     if "first_transition" in params:
-        ft = params["first_transition"]
-        t = timing.ring_first_transition(
-            spec, ft.get("node", len(spec.stages) - 1),
-            falling=ft.get("falling", True),
-            input_rising=ft.get("input_rising", True))
+        ft = dict(params["first_transition"])
+        node = ft.pop("node", len(spec.stages) - 1)
+        t = timing.ring_first_transition(spec, node, **ft)
         out.append(("first_transition_at", t, "s"))
     return out, []
 
@@ -585,9 +492,7 @@ def _run_ring(params):
           {"n_stages": INT, "period": NUM, "duty": NUM},
           ["n_stages", "period", "duty"])
 def _run_ring_design(params):
-    res = timing.ring_design(params["n_stages"], _q(params, "period"),
-                             _q(params, "duty"))
-    return [("t_plh", res["t_plh"], "s"), ("t_phl", res["t_phl"], "s")], []
+    return _take(timing.ring_design(**params), t_plh="s", t_phl="s"), []
 
 
 @analysis("latch_constraints",
@@ -597,23 +502,14 @@ def _run_ring_design(params):
            "skew": NUM, "period": NUM, "unbounded_uniform_delta": NUM},
           ["n_stages", "duty"])
 def _run_latch(params):
-    pipe = timing.LatchPipeline(
-        n_stages=params["n_stages"], duty=Fraction(str(params["duty"])),
-        deltas=tuple(parse_quantity(d) for d in params.get("deltas", ())),
-        d_cq=_q(params, "d_cq", 0.0), d_dq=_q(params, "d_dq", 0.0),
-        d_dc=_q(params, "d_dc", 0.0), d_cd=_q(params, "d_cd", 0.0),
-        skew=_q(params, "skew", 0.0), period=_q(params, "period", 0.0))
-    res = timing.latch_constraints(pipe)
+    res = timing.latch_constraints(timing.LatchPipeline(
+        **{k: v for k, v in params.items() if k != "unbounded_uniform_delta"}))
     out = [("inequalities", [c["text"] for c in res["constraints"]], "")]
     if res["t_min"] is not None:
-        out.append(("t_min", res["t_min"], "s"))
-    if "feasible" in res:
-        out.append(("feasible", res["feasible"], ""))
-    if params.get("unbounded_uniform_delta") is not None:
-        out.append(("t_min_unbounded",
-                    timing.latch_min_period_unbounded(
-                        _q(params, "unbounded_uniform_delta"),
-                        _q(params, "d_dq", 0.0)), "s"))
+        out += _take(res, t_min="s", feasible="")
+    if "unbounded_uniform_delta" in params:
+        out.append(("t_min_unbounded", timing.latch_min_period_unbounded(
+            params["unbounded_uniform_delta"], **_pick(params, "d_dq")), "s"))
     return out, []
 
 
@@ -621,8 +517,7 @@ def _run_latch(params):
           {"t": {"type": "array", "items": NUM, "minItems": 6, "maxItems": 6}},
           ["t"])
 def _run_dff(params):
-    res = timing.dff_margins(tuple(parse_quantity(x) for x in params["t"]))
-    return [("t_setup", res["t_setup"], "s"), ("t_hold", res["t_hold"], "s")], []
+    return _take(timing.dff_margins(**params), t_setup="s", t_hold="s"), []
 
 
 # --- power -----------------------------------------------------------------
@@ -632,9 +527,7 @@ def _run_dff(params):
            "probabilities": {"type": "object", "additionalProperties": NUM}},
           ["expr", "probabilities"])
 def _run_sig_prob(params):
-    probs = {k: parse_quantity(v) for k, v in params["probabilities"].items()}
-    res = power.signal_probability(params["expr"], probs)
-    return [("p", res["p"], ""), ("beta", res["beta"], "transitions/cycle")], []
+    return _take(power.signal_probability(**params), p="", beta="transitions/cycle"), []
 
 
 _LOADS = {"type": "array", "minItems": 1,
@@ -649,18 +542,15 @@ _LOADS = {"type": "array", "minItems": 1,
            "compare_loads": _LOADS},
           ["loads", "v_dd", "f_clk"])
 def _run_switching(params):
-    env = power.PowerEnv(v_dd=_q(params, "v_dd"), f_clk=_q(params, "f_clk"),
-                         v_swing=_q(params, "v_swing", 0.0))
-    activity = params.get("activity", "transitions")
+    env = power.PowerEnv(**_pick(params, "v_dd", "f_clk", "v_swing"))
 
-    def loads(items):
-        return [power.LoadPoint(c=parse_quantity(l["c"]),
-                                beta=parse_quantity(l["beta"])) for l in items]
-    p = power.switching_power(loads(params["loads"]), env, activity=activity)
+    def switching(items):
+        return power.switching_power([power.LoadPoint(**l) for l in items], env,
+                                     **_pick(params, "activity"))
+    p = switching(params["loads"])
     out = [("power", p, "W")]
     if "compare_loads" in params:
-        p2 = power.switching_power(loads(params["compare_loads"]), env,
-                                   activity=activity)
+        p2 = switching(params["compare_loads"])
         out += [("compare_power", p2, "W"), ("ratio", p / p2, "")]
     return out, []
 
@@ -670,10 +560,9 @@ def _run_switching(params):
            "tau_out": NUM, "beta": NUM},
           ["k", "v_t", "v_dd", "f_clk", "tau_in", "beta"])
 def _run_sc(params):
-    env = power.PowerEnv(v_dd=_q(params, "v_dd"), f_clk=_q(params, "f_clk"))
-    p = power.short_circuit_power(
-        _q(params, "k"), _q(params, "v_t"), env, _q(params, "tau_in"),
-        tau_out=_q(params, "tau_out", 0.0), beta=_q(params, "beta"))
+    env = power.PowerEnv(params["v_dd"], params["f_clk"])
+    p = power.short_circuit_power(params["k"], params["v_t"], env, params["tau_in"],
+                                  **_pick(params, "tau_out", "beta"))
     return [("power", p, "W")], \
         ["triangular crowbar model: E = k*tau_in*(v_dd - 2*v_t)^3 / 24 per transition"]
 
@@ -681,22 +570,17 @@ def _run_sc(params):
 @analysis("voltage_scaling_factors",
           {"v_from": NUM, "v_to": NUM, "v_t": NUM}, ["v_from", "v_to", "v_t"])
 def _run_vscale(params):
-    res = power.voltage_scaling_factors(_q(params, "v_from"), _q(params, "v_to"),
-                                        _q(params, "v_t"))
-    sc = res["short_circuit_reduction"]
-    return [("switching_reduction", res["switching_reduction"], "x"),
-            ("short_circuit_reduction",
-             sc if sc != float("inf") else "infinite", "x")], []
+    res = power.voltage_scaling_factors(**params)
+    if res["short_circuit_reduction"] == float("inf"):
+        res["short_circuit_reduction"] = "infinite"
+    return _take(res, switching_reduction="x", short_circuit_reduction="x"), []
 
 
 @analysis("leakage_stack",
           {"i0": NUM, "lambda_d": NUM, "s_swing": NUM, "v_dd": NUM},
           ["i0", "lambda_d", "s_swing", "v_dd"])
 def _run_leak(params):
-    res = power.leakage_stack(_q(params, "i0"), _q(params, "lambda_d"),
-                              _q(params, "s_swing"), _q(params, "v_dd"))
-    return [("v_x", res["v_x"], "V"),
-            ("stack_over_single_ratio", res["stack_over_single_ratio"], "")], []
+    return _take(power.leakage_stack(**params), v_x="V", stack_over_single_ratio=""), []
 
 
 @analysis("adiabatic_energy",
@@ -704,42 +588,26 @@ def _run_leak(params):
            "n_outputs_switching": INT},
           ["r_on", "c", "v_cmax", "t_ramp"])
 def _run_adiabatic(params):
-    e = power.adiabatic_energy(_q(params, "r_on"), _q(params, "c"),
-                               _q(params, "v_cmax"), _q(params, "t_ramp"),
-                               params.get("n_outputs_switching", 1))
-    return [("energy", e, "J")], []
+    return [("energy", power.adiabatic_energy(**params), "J")], []
 
 
 @analysis("bus_split",
           {"n_modules": INT, "m_buses": INT, "locality": NUM},
           ["n_modules", "m_buses"])
 def _run_bus(params):
-    res = power.bus_split(params["n_modules"], params["m_buses"],
-                          _q(params, "locality", 0.8))
-    return [("saving_percent", res["saving_percent"], "%"),
-            ("optimal_m", res["optimal_m"], ""),
-            ("optimal_m_integer", res["optimal_m_integer"], ""),
-            ("optimal_saving_percent", res["optimal_saving_percent"], "%")], []
+    return _take(power.bus_split(**params), saving_percent="%", optimal_m="",
+                 optimal_m_integer="", optimal_saving_percent="%"), []
 
 
 @analysis("gray_code",
           {"n_bits": INT, "sequence": {"type": "array", "items": INT}},
           ["n_bits"])
 def _run_gray(params):
-    res = power.gray_code(params["n_bits"], params.get("sequence"))
-    return [("codes", res["codes"], ""),
-            ("binary_transitions", res["binary_transitions"], ""),
-            ("gray_transitions", res["gray_transitions"], ""),
-            ("saved", res["saved"], "")], []
+    return _take(power.gray_code(**params), codes="", binary_transitions="",
+                 gray_transitions="", saved=""), []
 
 
 # --- memory ----------------------------------------------------------------
-
-def _cell_device(obj):
-    return memory.CellDevice(k_prime=parse_quantity(obj["k_prime"]),
-                             wl=parse_quantity(obj["wl"]),
-                             vt=parse_quantity(obj["vt"]))
-
 
 @analysis("cell_node_voltage",
           {"mode": {"enum": ["read_disturb", "write"]},
@@ -749,11 +617,9 @@ def _cell_device(obj):
            "v_dd": NUM, "v_bitline": NUM},
           ["mode", "access", "pulldown", "v_dd"])
 def _run_cell_v(params):
-    cell = memory.SramCell(
-        access=_cell_device(params["access"]),
-        pulldown=_cell_device(params["pulldown"]),
-        pullup=_cell_device(params["pullup"]) if "pullup" in params else None,
-        v_dd=_q(params, "v_dd"), v_bitline=_q(params, "v_bitline"))
+    devices = {k: memory.CellDevice(**params[k])
+               for k in ("access", "pulldown", "pullup") if k in params}
+    cell = memory.SramCell(**devices, **_pick(params, "v_dd", "v_bitline"))
     res = memory.cell_node_voltage(cell, params["mode"])
     return [("v_node", res["v_node"], "V")], \
         [f"discarded quadratic root {format_number(res['discarded_root'])} V",
@@ -763,26 +629,13 @@ def _run_cell_v(params):
 _BIAS_DEV = {"$ref": "#/$defs/bias_device"}
 
 
-def _bias_device(obj):
-    dev = device.MosDevice(
-        polarity=obj.get("polarity", "nmos"),
-        k_prime=parse_quantity(obj["k_prime"]), vt0=parse_quantity(obj["vt0"]),
-        gamma=parse_quantity(obj.get("gamma", 0.0)),
-        phi_f2=parse_quantity(obj.get("phi_f2", 0.6)),
-        lambda_=parse_quantity(obj.get("lambda", 0.0)),
-        w=parse_quantity(obj.get("wl", 1.0)), l=1.0)
-    bias = tuple(parse_quantity(v) for v in obj["bias"])
-    return dev, bias
-
-
 @analysis("access_sizing",
           {"fixed": _BIAS_DEV, "unknown": _BIAS_DEV}, ["fixed", "unknown"])
 def _run_access_sizing(params):
-    fixed, fixed_bias = _bias_device(params["fixed"])
-    unknown, unknown_bias = _bias_device(params["unknown"])
-    res = memory.access_sizing(fixed, fixed_bias, unknown, unknown_bias)
-    return [("wl", res["wl"], ""), ("i_balance", res["i_balance"], "A")], \
-        [f"regions: {res['regions']}"]
+    fixed, fixed_rest = _mos_device(params["fixed"])
+    unknown, unknown_rest = _mos_device(params["unknown"])
+    res = memory.access_sizing(fixed, fixed_rest["bias"], unknown, unknown_rest["bias"])
+    return _take(res, wl="", i_balance="A"), [f"regions: {res['regions']}"]
 
 
 @analysis("load_resistor_bound",
@@ -792,8 +645,8 @@ def _run_access_sizing(params):
           ["access", "pulldown", "v_dd", "v_q_max"])
 def _run_rl(params):
     res = memory.load_resistor_bound(
-        _cell_device(params["access"]), _cell_device(params["pulldown"]),
-        _q(params, "v_dd"), _q(params, "v_q_max"))
+        memory.CellDevice(**params["access"]), memory.CellDevice(**params["pulldown"]),
+        params["v_dd"], params["v_q_max"])
     return [("r_min", res["r_min"], "ohm")], []
 
 
@@ -803,20 +656,9 @@ def _run_rl(params):
            "r_sq": NUM, "fringe_edges": INT},
           ["rows", "cell_height", "bl_width", "access_w"])
 def _run_bitline(params):
-    geom = memory.BitlineGeometry(
-        rows=params["rows"], cell_height=_q(params, "cell_height"),
-        cell_width=_q(params, "cell_width", 0.0),
-        bl_width=_q(params, "bl_width"), access_w=_q(params, "access_w"),
-        c_g=_q(params, "c_g", 0.0), c_d=_q(params, "c_d", 0.0),
-        c_pp=_q(params, "c_pp", 0.0), c_fr=_q(params, "c_fr", 0.0),
-        r_sq=_q(params, "r_sq", 0.0),
-        fringe_edges=params.get("fringe_edges", 2))
-    res = memory.bitline_model(geom)
-    return [("c_total", res["c_total"], "F"),
-            ("c_diffusion", res["c_diffusion"], "F"),
-            ("c_wire", res["c_wire"], "F"),
-            ("r_total", res["r_total"], "ohm"),
-            ("elmore_distributed", res["elmore_distributed"], "s")], []
+    geom = memory.BitlineGeometry(**{"cell_width": 0.0, **params})
+    return _take(memory.bitline_model(geom), c_total="F", c_diffusion="F",
+                 c_wire="F", r_total="ohm", elmore_distributed="s"), []
 
 
 @analysis("blocked_read_delay",
@@ -825,21 +667,9 @@ def _run_bitline(params):
            "d_gate": NUM, "d_mux": NUM},
           ["rows", "cols", "decode_levels"])
 def _run_blocked(params):
-    plan = memory.ArrayPlan(
-        rows=params["rows"], cols=params["cols"],
-        decode_levels=params["decode_levels"],
-        mux_levels=params.get("mux_levels", 0),
-        r_word=_q(params, "r_word"), c_word=_q(params, "c_word"),
-        r_bit=_q(params, "r_bit"), c_bit=_q(params, "c_bit"),
-        d_gate=_q(params, "d_gate"), d_mux=_q(params, "d_mux"))
-    res = memory.blocked_read_delay(plan)
-    out = [("d_gate_count", res["d_gate_count"], "gates"),
-           ("r_word_c_word_coeff", res["r_word_c_word_coeff"], ""),
-           ("r_bit_c_bit_coeff", res["r_bit_c_bit_coeff"], ""),
-           ("d_mux_count", res["d_mux_count"], "stages")]
-    if "delay" in res:
-        out.append(("delay", res["delay"], "s"))
-    return out, []
+    return _take(memory.blocked_read_delay(memory.ArrayPlan(**params)),
+                 d_gate_count="gates", r_word_c_word_coeff="", r_bit_c_bit_coeff="",
+                 d_mux_count="stages", delay="s"), []
 
 
 @analysis("decoder_cost",
@@ -860,12 +690,12 @@ def _run_decoder(params):
            "address": {"type": ["integer", "string"]}},
           ["chips", "banks", "rows", "cols", "address"])
 def _run_addr(params):
-    amap = memory.AddressMap(
-        chips=params["chips"], banks=params["banks"], rows=params["rows"],
-        cols=params["cols"], address_bits=params.get("address_bits", 32),
-        order=tuple(params.get("order", ("row", "bank", "col", "chip"))))
+    amap = memory.AddressMap(**{k: v for k, v in params.items() if k != "address"})
     addr = params["address"]
-    addr = int(addr, 0) if isinstance(addr, str) else int(addr)
+    try:
+        addr = int(addr, 0) if isinstance(addr, str) else int(addr)
+    except ValueError as e:
+        raise CaseError(f"address {addr!r} is not an integer literal") from e
     res = memory.address_decode(amap, addr)
     fields = {k: res["fields"][k] for k in
               ("unused", *amap.order) if k in res["fields"]}
@@ -882,10 +712,8 @@ def _run_addr(params):
            "seed": INT, "steps": INT},
           [])
 def _run_lfsr(params):
-    if "powers" in params:
-        poly = testability.GfPolynomial.from_powers(params["powers"])
-    else:
-        poly = testability.GfPolynomial(tuple(params["coeffs"]))
+    poly = (testability.GfPolynomial.from_powers(params["powers"]) if "powers" in params
+            else testability.GfPolynomial(tuple(params["coeffs"])))
     lfsr = testability.lfsr_build(poly)
     out = [("n", lfsr.n, "bits"), ("taps", list(lfsr.taps), ""),
            ("matrix", [list(r) for r in lfsr.matrix], "")]
@@ -910,8 +738,7 @@ _VECTOR = {"type": ["array", "object"]}
           {"netlist": _NETLIST, "vector": _VECTOR}, ["netlist", "vector"])
 def _run_logic_sim(params):
     net = testability.GateNetlist.from_json(params["netlist"])
-    res = testability.logic_simulate(net, params["vector"])
-    return [("outputs", res["outputs"], "")], []
+    return _take(testability.logic_simulate(net, params["vector"]), outputs=""), []
 
 
 @analysis("fault_simulate",
@@ -921,19 +748,17 @@ def _run_logic_sim(params):
           ["netlist", "vectors", "faults"])
 def _run_fault_sim(params):
     net = testability.GateNetlist.from_json(params["netlist"])
-    faults = [testability.StuckFault(f["net"], f["value"])
-              for f in params["faults"]]
-    res = testability.fault_simulate(net, params["vectors"], faults)
-    return [("per_vector", res, "")], []
+    faults = [testability.StuckFault(**f) for f in params["faults"]]
+    return [("per_vector", testability.fault_simulate(net, params["vectors"], faults),
+             "")], []
 
 
 @analysis("atpg",
           {"netlist": _NETLIST, "fault": _FAULT}, ["netlist", "fault"])
 def _run_atpg(params):
     net = testability.GateNetlist.from_json(params["netlist"])
-    fault = testability.StuckFault(params["fault"]["net"], params["fault"]["value"])
-    res = testability.atpg_exhaustive(net, fault)
-    return [("testable", res["testable"], ""), ("vector", res["vector"], "")], []
+    res = testability.atpg_exhaustive(net, testability.StuckFault(**params["fault"]))
+    return _take(res, testable="", vector=""), []
 
 
 # --- case handling ----------------------------------------------------------
@@ -965,35 +790,41 @@ def load_case(path):
         raise CaseError(f"case file is not valid JSON: {e}") from e
 
 
+@functools.cache
+def _validator(name):
+    """One validator per schema: the case envelope (``None``) or an analysis."""
+    schema = CASE_SCHEMA if name is None else REGISTRY[name]["schema"]
+    return jsonschema.Draft202012Validator(schema)
+
+
 def validate_case(case) -> str:
     """Return the analysis id after full schema validation; raise CaseError
     naming the first violation otherwise."""
-    try:
-        jsonschema.validate(case, CASE_SCHEMA)
-    except jsonschema.ValidationError as e:
+    e = jsonschema.exceptions.best_match(_validator(None).iter_errors(case))
+    if e is not None:
         path = "/".join(str(p) for p in e.absolute_path) or "(top level)"
-        raise CaseError(f"case structure invalid at {path}: {e.message}") from e
+        raise CaseError(f"case structure invalid at {path}: {e.message}")
     name = case["analysis"]
     if name not in REGISTRY:
         raise CaseError(f"unknown analysis {name!r}")
-    validator = jsonschema.Draft202012Validator(REGISTRY[name]["schema"])
-    errors = sorted(validator.iter_errors(case["params"]),
-                    key=lambda e: (e.json_path, e.message))
-    if errors:
-        e = errors[0]
+    e = min(_validator(name).iter_errors(case["params"]),
+            key=lambda e: (e.json_path, e.message), default=None)
+    if e is not None:
         path = "/".join(str(p) for p in e.absolute_path) or "(params)"
         raise CaseError(f"params invalid at {path}: {e.message}")
     return name
 
 
 def run_case(case) -> dict:
-    """Validate and execute one case, returning the report dict."""
+    """Validate and execute one case, returning the report dict. Adapters get
+    every NUM field as a float; the report echoes the params as given."""
     name = validate_case(case)
+    params = _parse(case["params"], REGISTRY[name]["schema"])
     try:
-        results, diagnostics = REGISTRY[name]["run"](case["params"])
+        results, diagnostics = REGISTRY[name]["run"](params)
     except KeyError as e:
         raise CaseError(f"params missing field {e}") from e
-    report = {
+    return {
         "schema": SCHEMA_VERSION,
         "analysis": name,
         "label": case.get("meta", {}).get("label", ""),
@@ -1001,7 +832,6 @@ def run_case(case) -> dict:
         "results": {k: {"value": v, "unit": u} for k, v, u in results},
         "diagnostics": diagnostics,
     }
-    return report
 
 
 def _format_tree(x):

@@ -370,23 +370,23 @@ class _Vtc:
         return 0.5 * (lo + hi)
 
     def _classify(self, vin, vout):
-        def region(i_fun, v_ov, v_ds):
+        def region(v_ov, v_ds):
             if v_ov <= 0:
                 return "cutoff"
             return "linear" if v_ds < v_ov else "saturation"
         p, vdd = self.p, self.v_dd
         out = {}
         if self.config == "cmos":
-            out["pull_up"] = region(None, (vdd - vin) - abs(p["vt_p"]), vdd - vout)
-            out["pull_down"] = region(None, vin - p["vt_n"], vout)
+            out["pull_up"] = region((vdd - vin) - abs(p["vt_p"]), vdd - vout)
+            out["pull_down"] = region(vin - p["vt_n"], vout)
         elif self.config == "depletion_load":
-            out["pull_up"] = region(None, -p["vt_load"], vdd - vout)
-            out["pull_down"] = region(None, vin - p["vt_driver"], vout)
+            out["pull_up"] = region(-p["vt_load"], vdd - vout)
+            out["pull_down"] = region(vin - p["vt_driver"], vout)
         elif self.config == "pseudo_nmos":
-            out["pull_up"] = region(None, vdd - abs(p["vt_p"]), vdd - vout)
-            out["pull_down"] = region(None, vin - p["vt_n"], vout)
+            out["pull_up"] = region(vdd - abs(p["vt_p"]), vdd - vout)
+            out["pull_down"] = region(vin - p["vt_n"], vout)
         else:
-            out["pull_up"] = region(None, (vdd - vin) - abs(p["vt_p"]), vdd - vout)
+            out["pull_up"] = region((vdd - vin) - abs(p["vt_p"]), vdd - vout)
             out["pull_down"] = "resistor"
         return out
 

@@ -11,10 +11,11 @@ a parallel node hands the full budget to each child.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import boolexpr
 from .errors import InputError, SizeError, StructureError
+from .units import parse_quantity
 
 EULER_INPUT_LIMIT = 12
 
@@ -58,23 +59,16 @@ def network_inputs(net):
     return out
 
 
-def network_to_json(net):
-    if isinstance(net, Switch):
-        return {"input": net.name, "width": net.width}
-    key = "series" if isinstance(net, Series) else "parallel"
-    return {key: [network_to_json(c) for c in net.children]}
-
-
 def network_from_json(obj):
     if not isinstance(obj, dict):
         raise StructureError("network node must be an object")
     if "input" in obj:
-        return Switch(obj["input"], float(obj.get("width", 1.0)))
-    if "series" in obj:
-        return Series(tuple(network_from_json(c) for c in obj["series"]))
-    if "parallel" in obj:
-        return Parallel(tuple(network_from_json(c) for c in obj["parallel"]))
-    raise StructureError(f"network node needs input/series/parallel, got {sorted(obj)}")
+        return Switch(obj["input"], parse_quantity(obj.get("width", 1.0)))
+    for key, cls in (("series", Series), ("parallel", Parallel)):
+        if isinstance(obj.get(key), list):
+            return cls(tuple(network_from_json(c) for c in obj[key]))
+    raise StructureError(f"network node needs input or a series/parallel list, "
+                         f"got {sorted(obj)}")
 
 
 def evaluate_network(net, assignment) -> bool:
@@ -134,8 +128,6 @@ class CompoundGate:
     w_n: float = 1.0
     w_p: float = 4.0
     mu: float = 4.0
-    name: str = ""
-    extras: dict = field(default_factory=dict)
 
     def pdn_conducts(self, assignment):
         return evaluate_network(self.pdn, assignment)

@@ -151,9 +151,13 @@ class RcDriver:
 
 
 def _segment_sweep(n):
-    if isinstance(n, int):
-        return [n]
-    return sorted(set(int(k) for k in n))
+    try:
+        counts = [n] if isinstance(n, int) else sorted({int(k) for k in n})
+    except (TypeError, ValueError) as e:
+        raise InputError("buffer counts must be integers") from e
+    if not counts:
+        raise InputError("need at least one buffer count")
+    return counts
 
 
 def buffered_wire_delay(wire: WireSpec, n_buffers, buffer, driver=None,

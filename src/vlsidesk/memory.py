@@ -7,7 +7,7 @@ Cell KCL ignores body effect; where a bias-dependent threshold matters
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .device import MosDevice, bias_point
 from .errors import InfeasibleError, InputError, SolverError
@@ -104,10 +104,7 @@ def access_sizing(fixed: MosDevice, fixed_bias: tuple,
     op_fixed = bias_point(fixed, *fixed_bias)
     if op_fixed.i_d <= 0:
         raise InfeasibleError("reference device carries no current at the trip point")
-    unit = MosDevice(polarity=unknown.polarity, k_prime=unknown.k_prime,
-                     vt0=unknown.vt0, gamma=unknown.gamma, phi_f2=unknown.phi_f2,
-                     lambda_=unknown.lambda_, w=1.0, l=1.0)
-    op_unit = bias_point(unit, *unknown_bias)
+    op_unit = bias_point(replace(unknown, w=1.0, l=1.0, l_d=0.0), *unknown_bias)
     if op_unit.i_d <= 0:
         raise InfeasibleError("device to size is off at the trip point")
     wl = op_fixed.i_d / op_unit.i_d

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from . import boolexpr
-from .errors import InputError, SizeError
+from .errors import DomainError, InputError, SizeError
 
 ENUMERATION_LIMIT = 24
 
@@ -93,8 +93,13 @@ def short_circuit_power(k: float, v_t: float, env: PowerEnv,
         raise InputError("transition times and activity must be >= 0")
     if env.v_dd <= 2.0 * v_t:
         return 0.0
-    energy_per_transition = k * tau_in * (env.v_dd - 2.0 * v_t) ** 3 / 24.0
-    return energy_per_transition * beta * env.f_clk
+    try:
+        power = k * tau_in * (env.v_dd - 2.0 * v_t) ** 3 / 24.0 * beta * env.f_clk
+    except OverflowError:
+        power = math.inf
+    if not math.isfinite(power):
+        raise DomainError("short-circuit power is not a finite number")
+    return power
 
 
 def short_circuit_energy_numeric(k, v_t, v_dd, tau_in, steps=20000) -> float:

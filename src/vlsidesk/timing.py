@@ -4,6 +4,7 @@ margins. Same-edge hold convention; skew = capture arrival - launch
 arrival, with an optional symmetric uncertainty that tightens both the
 setup and the hold check."""
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,11 +83,28 @@ def pipeline_metrics(stage_delays, n_items=1, reg_overhead=0.0,
             total_comb_delay = sum(stage_delays)
         if reg_overhead >= target_period:
             raise InfeasibleError("register overhead alone exceeds the target period")
-        n = 1
-        while total_comb_delay / n + reg_overhead >= target_period:
-            n += 1
-        out["n_stages_needed"] = n
+        out["n_stages_needed"] = _stages_needed(total_comb_delay, reg_overhead,
+                                                target_period)
     return out
+
+
+def _stages_needed(total, reg, target):
+    """Smallest n >= 1 with total/n + reg < target. The ceiling of
+    total/(target - reg) bounds it; bisection under that same test then
+    settles the count that floating-point rounding puts at the boundary."""
+    def fits(n):
+        return total / n + reg < target
+    try:
+        hi = max(1, math.floor(total / (target - reg)) + 1)
+        while not fits(hi):
+            hi *= 2
+    except (OverflowError, ValueError) as e:
+        raise InfeasibleError("no finite stage count meets the target period") from e
+    lo = 0  # n = 0 never fits
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    return hi
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
+import copy
 import json
+import time
 
 import pytest
 
 from vlsidesk import cli
+from vlsidesk.errors import QuantityError, VlsiError
+from vlsidesk.units import parse_quantity
 
 from conftest import CASES_DIR, load_case
 
@@ -166,3 +170,206 @@ def test_shipped_cases_render_identically_twice():
         a = cli.render_json(cli.run_case(case))
         b = cli.render_json(cli.run_case(case))
         assert a == b
+
+
+# --- quantity parsing at the schema boundary ------------------------------
+
+def run_text(tmp_path, capsys, text):
+    """Run a case file holding ``text`` verbatim; return (exit, stdout, stderr)."""
+    p = tmp_path / "raw.json"
+    p.write_text(text)
+    rc = cli.main(["run", str(p)])
+    cap = capsys.readouterr()
+    return rc, cap.out, cap.err
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"),
+                                   "1e400", "1e308k", 10**400],
+                         ids=["inf", "-inf", "nan", "1e400", "1e308k", "10**400"])
+def test_parse_quantity_rejects_non_finite(value):
+    with pytest.raises(QuantityError):
+        parse_quantity(value)
+
+
+def test_parse_quantity_accepts_si_strings():
+    assert parse_quantity("500m") == 0.5
+    assert parse_quantity(" 20f ") == pytest.approx(20e-15)
+    assert parse_quantity(3) == 3.0 and isinstance(parse_quantity(3), float)
+
+
+@pytest.mark.parametrize("literal",
+                         ["1e400", "-1e400", "NaN", "Infinity", "1" + "0" * 400],
+                         ids=["1e400", "-1e400", "NaN", "Infinity", "10**400"])
+def test_non_finite_json_number_exits_1(tmp_path, capsys, literal):
+    text = ('{"schema": 1, "analysis": "wire_rc", '
+            f'"params": {{"length": {literal}, "width": 1, "r_sheet": 1}}}}')
+    rc, out, err = run_text(tmp_path, capsys, text)
+    assert rc == 1 and out == ""
+    assert json.loads(err)["error"]["code"] == "invalid_case"
+
+
+DEFECT_CASES = [
+    ("address_decode", {"chips": 1, "banks": 1, "rows": 4, "cols": 4,
+                        "address": "zz"}, 1, "invalid_case"),
+    ("buffered_wire_delay", {"wire": {"length": 1, "width": 1, "r_sheet": 1},
+                             "n_buffers": [], "buffer": {"fixed_delay": "1n"}},
+     2, "analysis_error"),
+    ("short_circuit_power", {"k": 1, "v_t": 0, "v_dd": 1e308, "f_clk": 1,
+                             "tau_in": 1, "beta": 1}, 2, "analysis_error"),
+    ("short_circuit_power", {"k": "1e300", "v_t": 0, "v_dd": "1e100", "f_clk": 1,
+                             "tau_in": 1, "beta": 1}, 2, "analysis_error"),
+    ("latch_constraints", {"n_stages": 2, "duty": "abc"}, 1, "invalid_case"),
+    ("pipeline_metrics", {"stage_delays": [1], "target_period": 1e-310},
+     2, "analysis_error"),
+    ("derive_template", {"pdn": {"input": "a"}, "pun": {"series": 5}},
+     2, "analysis_error"),
+]
+
+
+@pytest.mark.parametrize("analysis,params,code,kind", DEFECT_CASES,
+                         ids=[f"{c[0]}-{i}" for i, c in enumerate(DEFECT_CASES)])
+def test_defect_inputs_end_in_json_error(tmp_path, capsys, analysis, params, code, kind):
+    doc = {"schema": 1, "analysis": analysis, "params": params}
+    t0 = time.perf_counter()
+    rc = cli.main(["run", write_case(tmp_path, doc)])
+    assert time.perf_counter() - t0 < 1.0
+    cap = capsys.readouterr()
+    assert rc == code and cap.out == ""
+    assert json.loads(cap.err)["error"]["code"] == kind
+
+
+def test_pipeline_tiny_target_runs_quickly(tmp_path, capsys):
+    doc = {"schema": 1, "analysis": "pipeline_metrics",
+           "params": {"stage_delays": ["1n"], "target_period": 1e-300}}
+    t0 = time.perf_counter()
+    rc = cli.main(["run", write_case(tmp_path, doc)])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 0
+    n = json.loads(capsys.readouterr().out)["results"]["n_stages_needed"]["value"]
+    assert n > 10**290
+
+
+def test_latch_duty_accepts_si_string():
+    base = {"schema": 1, "analysis": "latch_constraints",
+            "params": {"n_stages": 2, "duty": 0.5, "deltas": [1, 2]}}
+    si = copy.deepcopy(base)
+    si["params"]["duty"] = "500m"
+    assert cli.run_case(si)["results"] == cli.run_case(base)["results"]
+
+
+def test_malformed_quantity_wins_over_analysis_error(tmp_path, capsys):
+    # one delta for two stages alone is an analysis error (exit 2), but every
+    # quantity is parsed before the analysis starts
+    doc = {"schema": 1, "analysis": "latch_constraints",
+           "params": {"n_stages": 2, "duty": 0.5, "deltas": [1],
+                      "unbounded_uniform_delta": "2zz"}}
+    assert cli.main(["run", write_case(tmp_path, doc)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "invalid_case"
+
+
+def test_top_level_error_message_names_the_field():
+    with pytest.raises(cli.CaseError) as e:
+        cli.validate_case({"schema": 1, "analysis": "gray_code"})
+    assert str(e.value) == \
+        "case structure invalid at (top level): 'params' is a required property"
+    with pytest.raises(cli.CaseError) as e:
+        cli.validate_case({"schema": 1, "analysis": 5, "params": {}})
+    assert str(e.value) == "case structure invalid at analysis: 5 is not of type 'string'"
+
+
+NESTED_SI = [
+    ("check_timing",
+     {"period": 5e-9, "edges": [{"launch": "a", "capture": "b", "t_cq_max": 1e-10,
+                                 "d_max": 2e-9, "t_setup": 5e-11}]},
+     {"period": "5n", "edges": [{"launch": "a", "capture": "b", "t_cq_max": "100p",
+                                 "d_max": "2n", "t_setup": "50p"}]}),
+    ("signal_probability", {"expr": "a & b", "probabilities": {"a": 0.5, "b": 0.25}},
+     {"expr": "a & b", "probabilities": {"a": "500m", "b": "250m"}}),
+    ("switching_power", {"loads": [{"c": 1e-15, "beta": 0.5}], "v_dd": 1.2, "f_clk": 1e9},
+     {"loads": [{"c": "1f", "beta": "500m"}], "v_dd": "1.2", "f_clk": "1G"}),
+    ("noise_margins",
+     {"driver": {"v_ol": 0.1, "v_oh": 1.1, "v_il": 0.4, "v_ih": 0.7},
+      "receiver": {"v_ol": 0.1, "v_oh": 1.1, "v_il": 0.45, "v_ih": 0.65}},
+     {"driver": {"v_ol": "100m", "v_oh": "1.1", "v_il": "400m", "v_ih": "700m"},
+      "receiver": {"v_ol": "100m", "v_oh": "1.1", "v_il": "450m", "v_ih": "650m"}}),
+    ("elmore", {"root": "s", "edges": [["s", "a", 1e3]], "caps": {"a": 1e-12}, "sink": "a"},
+     {"root": "s", "edges": [["s", "a", "1k"]], "caps": {"a": "1p"}, "sink": "a"}),
+    ("ring_analyze", {"stages": [[5e-8, 5e-8], [4e-8, 6e-8], [5e-8, 5e-8]]},
+     {"stages": [["50n", "50n"], ["40n", "60n"], ["50n", "50n"]]}),
+    ("access_sizing",
+     {"fixed": {"k_prime": 1e-4, "vt0": 0.4, "bias": [1.2, 0.6, 0.0]},
+      "unknown": {"k_prime": 4e-5, "vt0": 0.4, "lambda": 0.1, "bias": [1.2, 0.6, 0.0]}},
+     {"fixed": {"k_prime": "100u", "vt0": "400m", "bias": ["1.2", "600m", 0]},
+      "unknown": {"k_prime": "40u", "vt0": "400m", "lambda": "100m",
+                  "bias": ["1.2", "600m", 0]}}),
+    ("derive_template",
+     {"pdn": {"series": [{"input": "a", "width": 2.0}, {"input": "b", "width": 2.0}]},
+      "pun": {"pullup_load": 0.5}},
+     {"pdn": {"series": [{"input": "a", "width": "2"}, {"input": "b", "width": "2"}]},
+      "pun": {"pullup_load": "500m"}}),
+]
+
+
+@pytest.mark.parametrize("analysis,numbers,strings", NESTED_SI,
+                         ids=[c[0] for c in NESTED_SI])
+def test_nested_si_strings_match_numbers(analysis, numbers, strings):
+    a = cli.run_case({"schema": 1, "analysis": analysis, "params": numbers})
+    b = cli.run_case({"schema": 1, "analysis": analysis, "params": strings})
+    assert json.loads(cli.render_json(a))["results"] == \
+        json.loads(cli.render_json(b))["results"]
+
+
+def test_report_inputs_keep_si_strings():
+    for analysis, _, strings in NESTED_SI:
+        case = {"schema": 1, "analysis": analysis, "params": strings}
+        before = copy.deepcopy(case)
+        report = cli.run_case(case)
+        assert case == before  # parsing works on a copy
+        assert report["inputs"] == before["params"]
+    report = cli.run_case(RING_CASE)
+    assert report["inputs"]["stages"][0] == ["50n", "50n"]
+
+
+# --- every adapter runs ---------------------------------------------------
+
+INLINE_MINIMAL = {
+    "elmore": {"root": "s", "edges": [["s", "a", "1k"], ["a", "b", 2000]],
+               "caps": {"a": "1p", "b": 2e-12}, "sink": "b"},
+    "evaluate_network": {
+        "network": {"series": [{"input": "a", "width": "2"},
+                               {"parallel": [{"input": "b"}, {"input": "c"}]}]},
+        "assignment": {"a": 1, "b": 0, "c": 1}},
+    "threshold_voltage": {"vt0": "0.7", "v_sb": 2, "gamma": "400m"},
+}
+
+
+def _minimal_params(analysis):
+    """Required params only, taken from the first corpus case that runs
+    ``analysis`` (plus the keys of the first ``anyOf`` branch it satisfies)."""
+    if analysis in INLINE_MINIMAL:
+        return INLINE_MINIMAL[analysis]
+    schema = cli.REGISTRY[analysis]["schema"]
+    for p in sorted(CASES_DIR.glob("*.json")):
+        case = load_case(p.stem)
+        if case["analysis"] != analysis:
+            continue
+        keys = set(schema["required"])
+        for branch in schema.get("anyOf", []):
+            if set(branch["required"]) <= set(case["params"]):
+                keys |= set(branch["required"])
+                break
+        return {k: v for k, v in case["params"].items() if k in keys}
+    raise AssertionError(f"no corpus case runs {analysis}")
+
+
+@pytest.mark.parametrize("analysis", sorted(cli.REGISTRY))
+def test_every_adapter_runs_minimal_case(analysis):
+    case = {"schema": 1, "analysis": analysis, "params": _minimal_params(analysis)}
+    try:
+        report = cli.run_case(case)
+    except (cli.CaseError, VlsiError):
+        assert analysis in ("inverter_vtc", "mos_capacitances")  # need optional params
+        return
+    assert report["inputs"] == case["params"]
+    assert report["results"]
+    cli.render_json(report)

@@ -17,6 +17,7 @@ from vlsidesk.gates import (
     delay_bounds,
     euler_ordering_valid,
     evaluate_network,
+    network_from_json,
     network_inputs,
 )
 
@@ -131,6 +132,20 @@ def test_evaluate_network_basics():
     assert not evaluate_network(par, {"a": 0, "b": 0})
     with pytest.raises(InputError):
         evaluate_network(par, {"a": 0})
+
+
+def test_network_from_json_parses_widths():
+    net = network_from_json({"series": [{"input": "a", "width": "2.5"},
+                                        {"parallel": [{"input": "b", "width": 3},
+                                                      {"input": "c"}]}]})
+    assert net == Series((Switch("a", 2.5),
+                          Parallel((Switch("b", 3.0), Switch("c", 1.0)))))
+
+
+@pytest.mark.parametrize("obj", ["a", {}, {"series": 5}, {"parallel": {"input": "a"}}])
+def test_network_from_json_rejects_malformed_nodes(obj):
+    with pytest.raises(StructureError):
+        network_from_json(obj)
 
 
 def test_evaluate_network_matches_expression(rng):

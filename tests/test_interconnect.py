@@ -118,6 +118,12 @@ def test_fixed_buffer_insertion_sweep():
     assert res["optimal_n"] == 1
 
 
+@pytest.mark.parametrize("counts", [[], ["a"], [None]])
+def test_buffer_sweep_needs_integer_counts(counts):
+    with pytest.raises(InputError):
+        buffered_wire_delay(WIRE_50K_20F, counts, FixedDelay(0.25e-9))
+
+
 def test_slow_buffer_does_not_help():
     res = buffered_wire_delay(WIRE_50K_20F, range(0, 2), FixedDelay(1e-9))
     assert res["optimal_n"] == 0

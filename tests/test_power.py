@@ -4,7 +4,7 @@ import math
 import pytest
 
 from vlsidesk.boolexpr import And, Not, Or, Var, Xor
-from vlsidesk.errors import InputError, SizeError
+from vlsidesk.errors import DomainError, InputError, SizeError
 from vlsidesk.power import (
     LoadPoint,
     PowerEnv,
@@ -171,6 +171,13 @@ def test_short_circuit_zero_below_2vt():
     env = PowerEnv(v_dd=1.0, f_clk=1e9)
     assert short_circuit_power(1e-4, 0.5, env, 1e-10, beta=0.5) == 0.0
     assert short_circuit_power(1e-4, 0.6, env, 1e-10, beta=0.5) == 0.0
+
+
+def test_short_circuit_overflow_is_a_domain_error():
+    with pytest.raises(DomainError):
+        short_circuit_power(1.0, 0.0, PowerEnv(v_dd=1e308, f_clk=1.0), 1.0)
+    with pytest.raises(DomainError):  # finite cube, infinite product
+        short_circuit_power(1e300, 0.0, PowerEnv(v_dd=1e10, f_clk=1e10), 1.0)
 
 
 def test_short_circuit_matches_quadrature(rng):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,53 @@ def test_pipeline_single_stage():
 def test_pipeline_infeasible_target():
     with pytest.raises(InfeasibleError):
         pipeline_metrics([1e-9], target_period=0.1e-9, reg_overhead=0.2e-9)
+
+
+def _stage_count_by_counting(total, reg, target):
+    n = 1
+    while total / n + reg >= target:
+        n += 1
+    return n
+
+
+def test_pipeline_stage_count_matches_counting_loop():
+    # the counting loop the closed form replaced, on a grid of small counts
+    for total in (1e-12, 0.1, 0.3, 0.7, 1.0, 1.1, 2.0, 3.0, 3.74, 7.0, 10.0):
+        for reg in (0.0, 0.05, 0.1, 0.2, -0.1):
+            for target in (0.15, 0.25, 0.3, 0.31, 0.5, 0.7, 1.0, 1.3, 2.5):
+                if reg >= target:
+                    continue
+                got = pipeline_metrics([1.0], reg_overhead=reg, target_period=target,
+                                       total_comb_delay=total)["n_stages_needed"]
+                assert got == _stage_count_by_counting(total, reg, target), \
+                    (total, reg, target)
+    for a in range(1, 40):
+        for b in range(1, 40):
+            got = pipeline_metrics([1.0], target_period=b / 10,
+                                   total_comb_delay=a / 10)["n_stages_needed"]
+            assert got == _stage_count_by_counting(a / 10, 0.0, b / 10), (a, b)
+
+
+def test_pipeline_stage_count_at_rounding_boundary():
+    # reg dominates, so float rounding moves the boundary far from the ceiling
+    for k in range(1, 40):
+        target = 1.0 + k * 2.2e-16
+        got = pipeline_metrics([1.0], reg_overhead=1.0, target_period=target,
+                               total_comb_delay=1e-17)["n_stages_needed"]
+        assert got == _stage_count_by_counting(1e-17, 1.0, target)
+
+
+def test_pipeline_tiny_target_ends_quickly():
+    t0 = time.perf_counter()
+    res = pipeline_metrics([1e-9], target_period=1e-300)
+    assert time.perf_counter() - t0 < 1.0
+    n = res["n_stages_needed"]
+    assert 1e-9 / n < 1e-300 <= 1e-9 / (n - 1)
+
+
+def test_pipeline_non_finite_stage_count():
+    with pytest.raises(InfeasibleError):
+        pipeline_metrics([1.0], target_period=1e-310)
 
 
 ARCS = RippleArcs(xy_to_s=1.0, xy_to_bout=2.0, bin_to_s=1.5,
