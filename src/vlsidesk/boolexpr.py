@@ -4,8 +4,15 @@
 is AND, ``+`` (or ``|``) is OR, ``^`` is XOR, ``~x`` or a postfix prime
 is NOT. Identifiers are a single letter plus optional digits, so
 implicit AND stays unambiguous.
+
+The truth-table kernel evaluates a function over all 2^n input patterns
+at once (parallel-pattern simulation): ``pattern_tables`` gives each input
+a Python-int bitset whose bit k is that input's value in pattern k, and
+the bitwise operators on those bitsets evaluate every pattern together.
 """
 
+import functools
+import operator
 from dataclasses import dataclass
 
 from .errors import InputError, StructureError
@@ -203,3 +210,50 @@ class _Parser:
 def parse_expr(text: str) -> Expr:
     """Parse a switching-algebra expression string."""
     return _Parser(text).parse()
+
+
+# --- truth-table kernel ------------------------------------------------------
+
+def pattern_tables(n):
+    """One bitset per input over all 2^n patterns, and the all-ones mask.
+
+    Input 0 is the most significant bit of the pattern index, so pattern k
+    is the k-th vector of ``itertools.product((0, 1), repeat=n)`` and the
+    lowest set bit of a table is its lexicographically smallest vector.
+    """
+    size = 1 << n
+    tables = []
+    for i in range(n):
+        block = 1 << (n - 1 - i)                # input i is 1 on every other block
+        table, width = ((1 << block) - 1) << block, 2 * block
+        while width < size:                     # repeat the period by doubling
+            table |= table << width
+            width *= 2
+        tables.append(table)
+    return tables, (1 << size) - 1
+
+
+def pattern_bits(k, n):
+    """The input values (input 0 first) of pattern ``k`` of ``n`` inputs."""
+    return [(k >> (n - 1 - i)) & 1 for i in range(n)]
+
+
+def set_patterns(table):
+    """Indices of the patterns set in ``table``, in increasing order."""
+    return [k for k, bit in enumerate(bin(table)[:1:-1]) if bit == "1"]
+
+
+def expr_table(expr, tables, full):
+    """Output bitset of ``expr``; ``tables`` maps each variable to its bitset."""
+    if isinstance(expr, Var):
+        if expr.name not in tables:
+            raise InputError(f"no value for input {expr.name!r}")
+        return tables[expr.name]
+    if isinstance(expr, Const):
+        return full if expr.value else 0
+    if isinstance(expr, Not):
+        return full ^ expr_table(expr.arg, tables, full)
+    if isinstance(expr, Xor):
+        return expr_table(expr.a, tables, full) ^ expr_table(expr.b, tables, full)
+    op = operator.and_ if isinstance(expr, And) else operator.or_
+    return functools.reduce(op, (expr_table(a, tables, full) for a in expr.args))

@@ -100,17 +100,25 @@ def _schema(props, required):
 
 def _parse(value, schema):
     """``value`` with every field that ``schema`` types as NUM parsed by
-    ``parse_quantity``, nested ones included; ``value`` itself is not changed."""
+    ``parse_quantity`` and every integral float in an integer field made an
+    ``int``, nested ones included; ``value`` itself is not changed."""
     if "$ref" in schema:
         schema = _DEFS[schema["$ref"].rsplit("/", 1)[1]]
     if schema == NUM:
         return parse_quantity(value)
-    if isinstance(value, list) and "items" in schema:
-        return [_parse(v, schema["items"]) for v in value]
+    if isinstance(value, list):
+        prefix = schema.get("prefixItems", [])
+        return [_parse(v, prefix[i] if i < len(prefix) else schema.get("items", {}))
+                for i, v in enumerate(value)]
     if isinstance(value, dict):
         props, extra = schema.get("properties", {}), schema.get("additionalProperties")
         extra = extra if isinstance(extra, dict) else {}
         return {k: _parse(v, props.get(k, extra)) for k, v in value.items()}
+    kind = schema.get("type", ())
+    if type(value) in (int, float) and "integer" in ([kind] if isinstance(kind, str) else kind):
+        if abs(value) > sys.float_info.max:
+            raise QuantityError("integer is beyond the floating-point range")
+        return int(value)
     return value
 
 
@@ -273,13 +281,13 @@ def _run_eval_net(params):
 @analysis("elmore",
           {"root": STR,
            "edges": {"type": "array",
-                     "items": {"type": "array", "minItems": 3, "maxItems": 3}},
+                     "items": {"type": "array", "prefixItems": [STR, STR, NUM],
+                               "items": False, "minItems": 3}},
            "caps": {"type": "object", "additionalProperties": NUM},
            "sink": STR, "scale": {"enum": ["tau", 0.69, "0.69"]}},
           ["root", "edges", "caps", "sink"])
 def _run_elmore(params):
-    edges = [(p, c, parse_quantity(r)) for p, c, r in params["edges"]]
-    tree = interconnect.RcTree.from_edges(params["root"], edges, params["caps"])
+    tree = interconnect.RcTree.from_edges(params["root"], params["edges"], params["caps"])
     tau = interconnect.elmore(tree, params["sink"], **_pick(params, "scale"))
     return [("delay", tau, "s")], []
 

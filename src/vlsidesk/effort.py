@@ -7,17 +7,19 @@ transistor (C_g); device widths double as C_g counts. Resistances are in
 units of the minimum-width nMOS channel resistance.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import DesignError, InputError
+from . import boolexpr
+from .errors import DesignError, InputError, SizeError
 from .gates import (
+    RESISTANCE_INPUT_LIMIT,
     CompoundGate,
     Parallel,
     Switch,
     _resistance,
     network_inputs,
+    network_table,
 )
 
 RHO_DEFAULT = 3.59  # optimum stage effort for p_inv = 1, Cd = Cg
@@ -71,23 +73,28 @@ class GateTemplate:
 def _pull_resistances(drive_net, oppose, mu, rho_drive):
     """Worst-case drive resistance per critical input and overall.
 
-    Iterates over the on/off space of the driving network's switches
-    (``rho_drive`` is 1 for nmos nets, mu for pmos nets); the opposing
-    side (dual network evaluated on complemented inputs, or an always-on
-    load) subtracts conductance when it fights the transition.
+    Iterates over the conducting patterns of the driving network's
+    switches (``rho_drive`` is 1 for nmos nets, mu for pmos nets); the
+    opposing side (dual network evaluated on complemented inputs, or an
+    always-on load) subtracts conductance when it fights the transition.
+    An input decides a pattern when turning it off stops the conduction.
     """
     names = sorted(set(network_inputs(drive_net)))
+    if len(names) > RESISTANCE_INPUT_LIMIT:
+        raise SizeError(f"{len(names)} inputs exceeds the enumeration bound")
+    inputs = dict(zip(names, boolexpr.pattern_tables(len(names))[0]))
+    conducts = network_table(drive_net, inputs)
+    decides = {x: set(boolexpr.set_patterns(
+        conducts & inputs[x] & ~network_table(drive_net, {**inputs, x: 0})))
+        for x in names}
     per_input, overall = {}, None
-    for bits in itertools.product((0, 1), repeat=len(names)):
-        a = dict(zip(names, bits))
-        r_drive = _resistance(drive_net, a, rho_drive)
-        if r_drive is None:
-            continue
-        g_eff = 1.0 / r_drive
+    for k in boolexpr.set_patterns(conducts):
+        a = dict(zip(names, boolexpr.pattern_bits(k, len(names))))
+        g_eff = 1.0 / _resistance(drive_net, a, rho_drive)
         if isinstance(oppose, PullupLoad):
             g_eff -= oppose.width / mu
         elif oppose is not None:
-            flipped = {k: 1 - v for k, v in a.items()}
+            flipped = {x: 1 - v for x, v in a.items()}
             rho_opp = mu if rho_drive == 1.0 else 1.0
             r_opp = _resistance(oppose, flipped, rho_opp)
             if r_opp is not None:
@@ -97,11 +104,8 @@ def _pull_resistances(drive_net, oppose, mu, rho_drive):
         r_eff = 1.0 / g_eff
         overall = r_eff if overall is None else max(overall, r_eff)
         for x in names:
-            if not a[x]:
-                continue
-            if _resistance(drive_net, {**a, x: 0}, rho_drive) is not None:
-                continue  # x is not the deciding switch here
-            per_input[x] = max(per_input.get(x, 0.0), r_eff)
+            if k in decides[x]:
+                per_input[x] = max(per_input.get(x, 0.0), r_eff)
     return per_input, overall
 
 

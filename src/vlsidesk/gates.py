@@ -10,7 +10,9 @@ series node splits its resistance budget equally among its children and
 a parallel node hands the full budget to each child.
 """
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import boolexpr
@@ -18,6 +20,8 @@ from .errors import InputError, SizeError, StructureError
 from .units import parse_quantity
 
 EULER_INPUT_LIMIT = 12
+DUALITY_INPUT_LIMIT = 24
+RESISTANCE_INPUT_LIMIT = 18
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,16 @@ def evaluate_network(net, assignment) -> bool:
     if isinstance(net, Series):
         return all(evaluate_network(c, assignment) for c in net.children)
     return any(evaluate_network(c, assignment) for c in net.children)
+
+
+def network_table(net, tables):
+    """Bitset of the patterns where the network conducts; ``tables`` maps
+    each switch name to its bitset from ``boolexpr.pattern_tables``."""
+    if isinstance(net, Switch):
+        return tables[net.name]
+    kids = [network_table(c, tables) for c in net.children]
+    op = operator.and_ if isinstance(net, Series) else operator.or_
+    return functools.reduce(op, kids)
 
 
 def _literal_name(e):
@@ -177,13 +191,23 @@ def compound_gate(expr, reference=(1.0, 4.0), mu=4.0, check_duality=True) -> Com
     pun = _sized(dual_network(shape), pun_budget, mu * w_n)
     gate = CompoundGate(pdn=pdn, pun=pun, w_n=w_n, w_p=w_p, mu=mu)
     if check_duality:
-        names = sorted(set(network_inputs(pdn)))
-        if len(names) <= 16:
-            for bits in itertools.product((0, 1), repeat=len(names)):
-                a = dict(zip(names, bits))
-                if gate.pdn_conducts(a) == gate.pun_conducts(a):
-                    raise StructureError(f"PDN/PUN not complementary at {a}")
+        _check_duality(gate)
     return gate
+
+
+def _check_duality(gate):
+    """Raise StructureError at the first assignment where the PDN and the
+    PUN (on complemented inputs) both conduct or both block."""
+    names = sorted(set(network_inputs(gate.pdn)))
+    if len(names) > DUALITY_INPUT_LIMIT:
+        raise SizeError(f"{len(names)} inputs exceeds the duality check bound")
+    tables, full = boolexpr.pattern_tables(len(names))
+    pdn = network_table(gate.pdn, dict(zip(names, tables)))
+    pun = network_table(gate.pun, {x: full ^ t for x, t in zip(names, tables)})
+    clash = full & ~(pdn ^ pun)
+    if clash:
+        bits = boolexpr.pattern_bits((clash & -clash).bit_length() - 1, len(names))
+        raise StructureError(f"PDN/PUN not complementary at {dict(zip(names, bits))}")
 
 
 # --- resistive delay bounds -----------------------------------------------
@@ -208,21 +232,37 @@ def _resistance(net, assignment, rho):
     return 1.0 / conductance if conductance else None
 
 
+def _read_once_bounds(net, rho):
+    # worst and best exactly as the enumeration rounds them: a parallel node is
+    # worst with its worst child alone on, best with every child at its best
+    if isinstance(net, Switch):
+        r = rho / net.width
+        return r, r
+    kids = [_read_once_bounds(c, rho) for c in net.children]
+    if isinstance(net, Series):
+        return sum(w for w, _ in kids), sum(b for _, b in kids)
+    return max(1.0 / (0.0 + 1.0 / w) for w, _ in kids), 1.0 / sum(1.0 / b for _, b in kids)
+
+
 def resistance_bounds(net, rho=1.0):
-    """(worst, best) conduction resistance over all conducting assignments."""
-    names = sorted(set(network_inputs(net)))
-    if len(names) > 18:
+    """(worst, best) conduction resistance over all conducting assignments.
+
+    Closed form when no switch name repeats; otherwise enumerated over the
+    conducting patterns of up to RESISTANCE_INPUT_LIMIT inputs.
+    """
+    switches = network_inputs(net)
+    names = sorted(set(switches))
+    if len(names) == len(switches):
+        return _read_once_bounds(net, rho)
+    if len(names) > RESISTANCE_INPUT_LIMIT:
         raise SizeError(f"{len(names)} inputs exceeds the enumeration bound")
-    worst = best = None
-    for bits in itertools.product((0, 1), repeat=len(names)):
-        r = _resistance(net, dict(zip(names, bits)), rho)
-        if r is None:
-            continue
-        worst = r if worst is None else max(worst, r)
-        best = r if best is None else min(best, r)
-    if worst is None:
+    tables, _ = boolexpr.pattern_tables(len(names))
+    conducting = boolexpr.set_patterns(network_table(net, dict(zip(names, tables))))
+    if not conducting:
         raise StructureError("network never conducts")
-    return worst, best
+    rs = [_resistance(net, dict(zip(names, boolexpr.pattern_bits(k, len(names)))), rho)
+          for k in conducting]
+    return max(rs), min(rs)
 
 
 def delay_bounds(gate: CompoundGate, c_l=1.0) -> dict:

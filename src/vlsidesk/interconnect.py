@@ -62,31 +62,50 @@ class RcTree:
         return path
 
     def downstream_cap(self, node):
+        """Capacitance at ``node`` and everything below it."""
+        return self._downstream(node)[0][node]
+
+    def _downstream(self, top):
+        """Downstream capacitance of ``top`` and of every node below it, and
+        those nodes with each parent before its children (one pass each)."""
         children = {}
         for child, (p, _) in self.parent.items():
             children.setdefault(p, []).append(child)
-        total = self.cap.get(node, 0.0)
-        for child in children.get(node, ()):
-            total += self.downstream_cap(child)
-        return total
+        order = [top]
+        for node in order:  # grows while it is walked: breadth first
+            order.extend(children.get(node, ()))
+            if len(order) > len(self.parent) + 1:  # only a cycle revisits a node
+                raise InputError(f"node {top!r} lies on a cycle")
+        down = {}
+        for node in reversed(order):
+            total = self.cap.get(node, 0.0)
+            for child in children.get(node, ()):
+                total += down[child]
+            down[node] = total
+        return down, order
 
 
-def _elmore_resistance_form(tree, sink):
-    return sum(r * tree.downstream_cap(child)
-               for _, child, r in tree.path_to_root(sink))
-
-
-def _elmore_capacitance_form(tree, sink):
-    sink_edges = {(p, c) for p, c, _ in tree.path_to_root(sink)}
-    tau = 0.0
+def _elmore_forms(tree, sink):
+    """The resistance-oriented sum of r * downstream C along the sink's
+    path, and the capacitance-oriented sum of C * resistance shared with
+    that path, each in one pass over the tree."""
+    down, order = tree._downstream(tree.root)
+    path = tree.path_to_root(sink)
+    tau_r = sum(r * down[child] for _, child, r in path)
+    on_path = {child for _, child, _ in path}
+    shared = {tree.root: 0.0}
+    for node in order[1:]:
+        p, r = tree.parent[node]
+        shared[node] = shared[p] + r if node in on_path else shared[p]
+    tau_c = 0.0
     for node in tree.nodes():
         c = tree.cap.get(node, 0.0)
         if not c:
             continue
-        shared = sum(r for p, ch, r in tree.path_to_root(node)
-                     if (p, ch) in sink_edges)
-        tau += c * shared
-    return tau
+        if node not in shared:
+            raise InputError(f"node {node!r} is not connected to the root")
+        tau_c += c * shared[node]
+    return tau_r, tau_c
 
 
 def elmore(tree: RcTree, sink, scale="tau") -> float:
@@ -98,8 +117,7 @@ def elmore(tree: RcTree, sink, scale="tau") -> float:
     """
     if sink != tree.root and sink not in tree.parent:
         raise InputError(f"unknown sink {sink!r}")
-    tau_r = _elmore_resistance_form(tree, sink)
-    tau_c = _elmore_capacitance_form(tree, sink)
+    tau_r, tau_c = _elmore_forms(tree, sink)
     if abs(tau_r - tau_c) > _REL_TOL * max(abs(tau_r), abs(tau_c), 1e-30):
         raise AssertionError(f"Elmore accumulation mismatch: {tau_r} vs {tau_c}")
     factor = 0.69 if scale in (0.69, "0.69") else 1.0

@@ -2,6 +2,7 @@
 dynamic/short-circuit/leakage/adiabatic power, supply-scaling factors,
 bus splitting, and gray-code transition accounting."""
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -40,9 +41,10 @@ class LoadPoint:
 
 
 def signal_probability(expr, probabilities) -> dict:
-    """Exact output probability by summing minterm probabilities, plus the
-    random-cycle activity beta = 2 p (1-p). Inputs are taken spatially and
-    temporally independent."""
+    """Exact output probability by Shannon expansion of the truth table
+    along the sorted variables, plus the random-cycle activity
+    beta = 2 p (1-p). Inputs are taken spatially and temporally
+    independent."""
     if isinstance(expr, str):
         expr = boolexpr.parse_expr(expr)
     names = expr.variables()
@@ -54,14 +56,20 @@ def signal_probability(expr, probabilities) -> dict:
     for n in names:
         if not 0.0 <= probabilities[n] <= 1.0:
             raise InputError(f"p({n}) out of [0, 1]")
-    p = 0.0
-    for bits in itertools.product((0, 1), repeat=len(names)):
-        env = dict(zip(names, bits))
-        if expr.evaluate(env):
-            term = 1.0
-            for n, b in env.items():
-                term *= probabilities[n] if b else 1.0 - probabilities[n]
-            p += term
+    tables, full = boolexpr.pattern_tables(len(names))
+    probs = [probabilities[n] for n in names]
+
+    @functools.cache
+    def cofactor(level, table):
+        # ``table`` covers the patterns of names[level:]; its upper half is
+        # the cofactor with names[level] = 1
+        if level == len(names):
+            return float(table)
+        half = 1 << (len(names) - 1 - level)
+        return probs[level] * cofactor(level + 1, table >> half) \
+            + (1.0 - probs[level]) * cofactor(level + 1, table & ((1 << half) - 1))
+
+    p = cofactor(0, boolexpr.expr_table(expr, dict(zip(names, tables)), full))
     return {"p": p, "beta": 2.0 * p * (1.0 - p)}
 
 
@@ -124,11 +132,16 @@ def voltage_scaling_factors(v_from: float, v_to: float, v_t: float) -> dict:
     switching scales with V^2, crowbar with V*(V - 2Vt)^2."""
     if v_to <= v_t:
         raise InputError("v_to must stay above the threshold")
-    switching = (v_from / v_to) ** 2
+    try:
+        switching = (v_from / v_to) ** 2
+        sc = (v_from * (v_from - 2 * v_t) ** 2) / (v_to * (v_to - 2 * v_t) ** 2) \
+            if v_to > 2.0 * v_t else 0.0
+    except OverflowError:
+        switching = sc = math.inf
+    if not (math.isfinite(switching) and math.isfinite(sc)):
+        raise DomainError("voltage scaling factors are not finite numbers")
     if v_to <= 2.0 * v_t:
-        sc = math.inf
-    else:
-        sc = (v_from * (v_from - 2 * v_t) ** 2) / (v_to * (v_to - 2 * v_t) ** 2)
+        sc = math.inf  # no crowbar current is left at v_to
     return {"switching_reduction": switching, "short_circuit_reduction": sc}
 
 
@@ -159,7 +172,13 @@ def adiabatic_energy(r_on: float, c: float, v_cmax: float, t_ramp: float,
         raise InputError("ramp time must be positive")
     if min(r_on, c) < 0 or n_outputs_switching < 0:
         raise InputError("r_on, c and the output count must be >= 0")
-    return n_outputs_switching * (r_on * c / t_ramp) * c * v_cmax**2
+    try:
+        energy = n_outputs_switching * (r_on * c / t_ramp) * c * v_cmax**2
+    except OverflowError:
+        energy = math.inf
+    if not math.isfinite(energy):
+        raise DomainError("adiabatic energy is not a finite number")
+    return energy
 
 
 def bus_split(n_modules: int, m_buses: int, locality: float = 0.8) -> dict:

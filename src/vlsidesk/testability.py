@@ -1,13 +1,21 @@
 """Test-logic utilities: modular (Galois) LFSRs from characteristic
-polynomials, small gate-netlist simulation, serial stuck-at fault
-simulation, and exhaustive ATPG."""
+polynomials, small gate-netlist simulation, stuck-at fault simulation,
+and exhaustive ATPG.
 
-import itertools
+Netlists are simulated on bitsets from the ``boolexpr`` truth-table
+kernel: one bit per pattern, so a single pass evaluates every vector of a
+fault simulation or the whole input space of an ATPG search.
+"""
+
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_, or_, xor
 
+from . import boolexpr
 from .errors import InputError, NetlistError, SizeError
 
 ATPG_INPUT_LIMIT = 20
+LFSR_PERIOD_LIMIT = 24
 
 
 @dataclass(frozen=True)
@@ -26,6 +34,8 @@ class GfPolynomial:
 
     @classmethod
     def from_powers(cls, powers):
+        if any(p < 0 for p in powers):
+            raise InputError("polynomial powers must be >= 0")
         degree = max(powers)
         coeffs = [0] * (degree + 1)
         for p in powers:
@@ -44,11 +54,13 @@ class Lfsr:
     poly: GfPolynomial
     taps: tuple = field(init=False)
     matrix: tuple = field(init=False)
+    feedback: int = field(init=False)   # bits XORed in when the top stage is 1
 
     def __post_init__(self):
         n = self.poly.degree
         taps = tuple(i for i in range(1, n) if self.poly.coeffs[i])
         object.__setattr__(self, "taps", taps)
+        object.__setattr__(self, "feedback", 1 | sum(1 << t for t in taps))
         m = [[0] * n for _ in range(n)]
         m[0][n - 1] = 1
         for i in range(1, n):
@@ -62,12 +74,8 @@ class Lfsr:
         return self.poly.degree
 
     def step(self, state: int) -> int:
-        fb = (state >> (self.n - 1)) & 1
-        nxt = ((state << 1) | fb) & ((1 << self.n) - 1)
-        if fb:
-            for t in self.taps:
-                nxt ^= 1 << t
-        return nxt
+        shifted = (state << 1) & ((1 << self.n) - 1)
+        return shifted ^ self.feedback if (state >> (self.n - 1)) & 1 else shifted
 
     def step_matrix(self, state: int) -> int:
         bits = [(state >> i) & 1 for i in range(self.n)]
@@ -87,10 +95,13 @@ def lfsr_build(poly: GfPolynomial) -> Lfsr:
 
 def lfsr_run(lfsr: Lfsr, seed: int, steps: int) -> dict:
     """State sequence from ``seed`` plus its period (first recurrence of
-    the seed, searched up to 2^n steps)."""
+    the seed, searched up to 2^n steps, for degrees up to LFSR_PERIOD_LIMIT)."""
     if steps < 0:
         raise InputError("steps must be >= 0")
-    mask = (1 << lfsr.n) - 1
+    n, feedback = lfsr.n, lfsr.feedback
+    if n > LFSR_PERIOD_LIMIT:
+        raise SizeError(f"degree {n} exceeds the LFSR period search bound")
+    mask = (1 << n) - 1
     seed &= mask
     states = [seed]
     s = seed
@@ -99,23 +110,25 @@ def lfsr_run(lfsr: Lfsr, seed: int, steps: int) -> dict:
         states.append(s)
     period = None
     s = seed
-    for i in range(1, (1 << lfsr.n) + 1):
-        s = lfsr.step(s)
+    for i in range(1, (1 << n) + 1):
+        s = ((s << 1) & mask) ^ feedback if s >> (n - 1) else s << 1
         if s == seed:
             period = i
             break
     return {"states": states, "period": period}
 
 
+# Gate functions on bitsets; ``full`` is the all-ones mask of the pattern
+# count, and the default of 1 also evaluates a single list of booleans.
 _GATE_FUNCS = {
-    "and": lambda ins: all(ins),
-    "or": lambda ins: any(ins),
-    "nand": lambda ins: not all(ins),
-    "nor": lambda ins: not any(ins),
-    "xor": lambda ins: sum(ins) % 2 == 1,
-    "xnor": lambda ins: sum(ins) % 2 == 0,
-    "not": lambda ins: not ins[0],
-    "buf": lambda ins: bool(ins[0]),
+    "and": lambda ins, full=1: reduce(and_, ins),
+    "or": lambda ins, full=1: reduce(or_, ins),
+    "nand": lambda ins, full=1: full ^ reduce(and_, ins),
+    "nor": lambda ins, full=1: full ^ reduce(or_, ins),
+    "xor": lambda ins, full=1: reduce(xor, ins),
+    "xnor": lambda ins, full=1: full ^ reduce(xor, ins),
+    "not": lambda ins, full=1: full ^ ins[0],
+    "buf": lambda ins, full=1: ins[0],
 }
 
 
@@ -198,45 +211,67 @@ class StuckFault:
         return f"{self.net}/SA{self.value}"
 
 
-def logic_simulate(net: GateNetlist, vector, fault: StuckFault = None) -> dict:
-    """Topological evaluation of all nets; an optional fault pins one net."""
+def _simulate(net, tables, full, fault=None):
+    """Bitset of every net, inputs first, from the input bitsets ``tables``;
+    ``fault`` pins one net to all zeros or all ones."""
+    stuck = full if fault is not None and fault.value else 0
+    pinned = fault.net if fault is not None else None
+    values = {n: stuck if n == pinned else tables[n] for n in net.inputs}
+    for g in net._order:
+        values[g.output] = stuck if g.output == pinned else \
+            _GATE_FUNCS[g.kind]([values[i] for i in g.inputs], full)
+    return values
+
+
+def _vector_bits(net, vector):
+    """0/1 values of a vector given as a list in input order or a dict."""
     if isinstance(vector, (list, tuple)):
         if len(vector) != len(net.inputs):
             raise InputError("vector length does not match the inputs")
-        values = {n: bool(v) for n, v in zip(net.inputs, vector)}
-    else:
-        missing = [n for n in net.inputs if n not in vector]
-        if missing:
-            raise InputError(f"vector misses inputs {missing}")
-        values = {n: bool(vector[n]) for n in net.inputs}
+        return [1 if v else 0 for v in vector]
+    missing = [n for n in net.inputs if n not in vector]
+    if missing:
+        raise InputError(f"vector misses inputs {missing}")
+    return [1 if vector[n] else 0 for n in net.inputs]
+
+
+def _check_fault(net, fault):
     if fault is not None and fault.net not in net.nets():
         raise InputError(f"fault net {fault.net!r} does not exist")
 
-    def pin(name, v):
-        if fault is not None and name == fault.net:
-            return bool(fault.value)
-        return v
 
-    for name in net.inputs:
-        values[name] = pin(name, values[name])
-    for g in net._order:
-        values[g.output] = pin(g.output, _GATE_FUNCS[g.kind](
-            [values[i] for i in g.inputs]))
-    return {"outputs": {o: int(values[o]) for o in net.outputs},
-            "nets": {k: int(v) for k, v in values.items()}}
+def logic_simulate(net: GateNetlist, vector, fault: StuckFault = None) -> dict:
+    """Topological evaluation of all nets; an optional fault pins one net."""
+    bits = _vector_bits(net, vector)
+    _check_fault(net, fault)
+    values = _simulate(net, dict(zip(net.inputs, bits)), 1, fault)
+    return {"outputs": {o: values[o] for o in net.outputs}, "nets": values}
+
+
+def _output_diff(net, tables, full, good, fault):
+    """Bitset of the patterns where ``fault`` changes some primary output."""
+    bad = _simulate(net, tables, full, fault)
+    diff = 0
+    for o in net.outputs:
+        diff |= good[o] ^ bad[o]
+    return diff
 
 
 def fault_simulate(net: GateNetlist, vectors, faults) -> list:
-    """Serial fault simulation: for each vector, the set of faults whose
-    faulty response differs from the good one at any primary output."""
-    results = []
-    for vec in vectors:
-        good = logic_simulate(net, vec)["outputs"]
-        detected = [f.label() for f in faults
-                    if logic_simulate(net, vec, fault=f)["outputs"] != good]
-        results.append({"vector": list(vec) if not isinstance(vec, dict) else dict(vec),
-                        "detected": detected})
-    return results
+    """Parallel-pattern fault simulation: for each vector, the faults (in
+    the given order) whose response differs from the good one at any
+    primary output. Each fault is simulated once over all vectors."""
+    columns = [_vector_bits(net, vec) for vec in vectors]
+    for f in faults:
+        _check_fault(net, f)
+    tables = {name: sum(col[i] << j for j, col in enumerate(columns))
+              for i, name in enumerate(net.inputs)}
+    full = (1 << len(vectors)) - 1
+    good = _simulate(net, tables, full)
+    diffs = [(f.label(), _output_diff(net, tables, full, good, f)) for f in faults]
+    return [{"vector": list(vec) if not isinstance(vec, dict) else dict(vec),
+             "detected": [label for label, d in diffs if (d >> j) & 1]}
+            for j, vec in enumerate(vectors)]
 
 
 def atpg_exhaustive(net: GateNetlist, fault: StuckFault) -> dict:
@@ -245,9 +280,14 @@ def atpg_exhaustive(net: GateNetlist, fault: StuckFault) -> dict:
     n = len(net.inputs)
     if n > ATPG_INPUT_LIMIT:
         raise SizeError(f"{n} inputs exceeds the exhaustive ATPG bound")
-    for bits in itertools.product((0, 1), repeat=n):
-        good = logic_simulate(net, bits)["outputs"]
-        bad = logic_simulate(net, bits, fault=fault)["outputs"]
-        if good != bad:
-            return {"testable": True, "vector": list(bits)}
-    return {"testable": False, "vector": None}
+    _check_fault(net, fault)
+    tables, full = boolexpr.pattern_tables(n)
+    inputs = dict(zip(net.inputs, tables))
+    diff = _output_diff(net, inputs, full, _simulate(net, inputs, full), fault)
+    if not diff:
+        return {"testable": False, "vector": None}
+    vector = boolexpr.pattern_bits((diff & -diff).bit_length() - 1, n)
+    if logic_simulate(net, vector)["outputs"] == \
+            logic_simulate(net, vector, fault=fault)["outputs"]:
+        raise AssertionError(f"ATPG vector {vector} does not detect {fault.label()}")
+    return {"testable": True, "vector": vector}

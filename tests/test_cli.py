@@ -223,6 +223,20 @@ DEFECT_CASES = [
      2, "analysis_error"),
     ("derive_template", {"pdn": {"input": "a"}, "pun": {"series": 5}},
      2, "analysis_error"),
+    ("elmore", {"root": "s", "edges": [[["x"], "a", 1]], "caps": {"a": 1}, "sink": "a"},
+     1, "invalid_case"),
+    ("lfsr", {"powers": [0, -3]}, 2, "analysis_error"),
+    ("lfsr", {"powers": [0, 3, 28], "seed": 1}, 2, "analysis_error"),
+    ("nand_nor_effort", {"n": 10**400, "mu": 2}, 1, "invalid_case"),
+    ("ring_design", {"n_stages": 10**400 + 1, "period": 1, "duty": 0.5}, 1, "invalid_case"),
+    ("adiabatic_energy", {"r_on": 1e300, "c": 1e300, "v_cmax": 1, "t_ramp": 1e-300},
+     2, "analysis_error"),
+    ("voltage_scaling_factors", {"v_from": 1e200, "v_to": 1, "v_t": 0.1},
+     2, "analysis_error"),
+    ("derive_template",
+     {"pdn": {"parallel": [{"input": f"x{k}"} for k in range(22)]},
+      "pun": {"series": [{"input": f"x{k}", "width": 2} for k in range(22)]}},
+     2, "analysis_error"),
 ]
 
 
@@ -236,6 +250,25 @@ def test_defect_inputs_end_in_json_error(tmp_path, capsys, analysis, params, cod
     cap = capsys.readouterr()
     assert rc == code and cap.out == ""
     assert json.loads(cap.err)["error"]["code"] == kind
+
+
+INTEGRAL_FLOATS = [
+    ("gray_code", {"n_bits": 3.0}, {"n_bits": 3}),
+    ("lfsr", {"powers": [0, 1.0, 3.0], "seed": 1.0, "steps": 4.0},
+     {"powers": [0, 1, 3], "seed": 1, "steps": 4}),
+    ("ripple_chain", {"xy_to_s": 1, "xy_to_bout": 2, "bin_to_s": 1, "bin_to_bout": 1,
+                      "n_blocks": 3.0},
+     {"xy_to_s": 1, "xy_to_bout": 2, "bin_to_s": 1, "bin_to_bout": 1, "n_blocks": 3}),
+]
+
+
+@pytest.mark.parametrize("analysis,floats,ints", INTEGRAL_FLOATS,
+                         ids=[c[0] for c in INTEGRAL_FLOATS])
+def test_integral_floats_read_as_integers(analysis, floats, ints):
+    a = cli.run_case({"schema": 1, "analysis": analysis, "params": floats})
+    b = cli.run_case({"schema": 1, "analysis": analysis, "params": ints})
+    assert a["results"] == b["results"]
+    assert a["inputs"] == floats
 
 
 def test_pipeline_tiny_target_runs_quickly(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -84,6 +85,43 @@ def test_elmore_monotone_in_parasitics(rng):
         bumped.cap = dict(tree.cap)
         bumped.cap[node] = bumped.cap[node] * 2
         assert elmore(bumped, sink) >= base - 1e-18
+
+
+def unit_chain(n):
+    """Root n0 and n - 1 unit-R sections, a unit C at every other node."""
+    return RcTree.from_edges("n0", [(f"n{i}", f"n{i + 1}", 1.0) for i in range(n - 1)],
+                             {f"n{i}": 1.0 for i in range(1, n)})
+
+
+def test_elmore_long_chain_is_linear_time():
+    n = 10**5
+    tree = unit_chain(n)
+    t0 = time.perf_counter()
+    tau = elmore(tree, f"n{n - 1}")
+    assert time.perf_counter() - t0 < 2.0
+    assert tau == pytest.approx((n - 1) * n / 2, rel=1e-12)
+
+
+def test_deep_chain_has_no_recursion_limit():
+    tree = unit_chain(5000)
+    assert tree.downstream_cap("n0") == 4999.0
+    assert tree.downstream_cap("n4000") == 1000.0
+    assert len(tree.path_to_root("n4999")) == 4999
+    assert elmore(tree, "n2") == pytest.approx(4999.0 + 4998.0)
+
+
+def test_cycles_and_orphans_raise_input_error():
+    tree = RcTree.from_edges("s", [("s", "a", 1.0), ("b", "c", 1.0), ("c", "b", 1.0)],
+                             {"a": 1.0})
+    with pytest.raises(InputError):
+        tree.downstream_cap("b")
+    assert elmore(tree, "a") == 1.0
+    tree.set_cap("c", 1.0)
+    with pytest.raises(InputError):
+        elmore(tree, "a")
+    orphan = RcTree.from_edges("s", [("s", "a", 1.0), ("x", "y", 1.0)], {"y": 1.0})
+    with pytest.raises(InputError):
+        elmore(orphan, "a")
 
 
 def test_wire_rc_fringe_only():

@@ -250,3 +250,17 @@ def test_atpg_input_bound():
     net = GateNetlist(inputs, (Gate("or", inputs, "y"),), ("y",))
     with pytest.raises(SizeError):
         atpg_exhaustive(net, StuckFault("y", 0))
+
+
+def test_polynomial_rejects_negative_powers():
+    with pytest.raises(InputError):
+        GfPolynomial.from_powers([0, -3])
+
+
+def test_gate_functions_take_booleans_and_bitsets():
+    from vlsidesk.testability import _GATE_FUNCS
+    for kind, fn in _GATE_FUNCS.items():
+        ins = [0b0011, 0b0101][:1 if kind in ("not", "buf") else 2]
+        table = fn(ins, 0b1111)
+        for k in range(4):
+            assert bool(fn([bool((x >> k) & 1) for x in ins])) == bool((table >> k) & 1)
