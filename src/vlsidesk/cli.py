@@ -201,8 +201,7 @@ def _run_scale(params):
 
 
 @analysis("inverter_vtc",
-          {"config": {"enum": ["cmos", "depletion_load", "resistive_load",
-                               "pseudo_nmos"]},
+          {"config": {"enum": list(device.INVERTER_ELEMENTS)},
            "v_dd": NUM, "k_n": NUM, "vt_n": NUM, "k_p": NUM, "vt_p": NUM,
            "k_driver": NUM, "vt_driver": NUM, "k_load": NUM, "vt_load": NUM,
            "r_load": NUM},
@@ -794,7 +793,7 @@ def load_case(path):
             return json.load(fh)
     except OSError as e:
         raise CaseError(f"cannot read case file: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON, bad UTF-8, an integer over Python's digit limit
         raise CaseError(f"case file is not valid JSON: {e}") from e
 
 
@@ -878,9 +877,9 @@ def render_table(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fail(code, kind, message):
+def _fail(code, kind, message, **extra):
     sys.stderr.write(json.dumps(
-        {"error": {"code": kind, "message": str(message)}}) + "\n")
+        {"error": {"code": kind, "message": str(message), **extra}}) + "\n")
     return code
 
 
@@ -889,6 +888,10 @@ def main(argv=None) -> int:
         return _main(argv)
     except BrokenPipeError:  # downstream closed the pipe (e.g. | head)
         return 0
+    except Exception as e:  # a defect in vlsidesk, not in the case: keep it machine-readable
+        import traceback  # only this path needs it; importing it up front slows every start
+        return _fail(3, "internal_error", f"{type(e).__name__}: {e}",
+                     traceback=traceback.format_exc())
 
 
 def _main(argv=None) -> int:

@@ -7,6 +7,7 @@ Conventions:
     magnitudes (V_SG, V_SD, body-bias magnitude) for bias calculations.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -131,27 +132,28 @@ def square_law_current(k: float, v_ov: float, v_ds: float, lambda_: float = 0.0)
     return 0.5 * k * v_ov * v_ov * (1.0 + lambda_ * v_ds)
 
 
+def _region(v_ov: float, v_ds: float) -> str:
+    """Operating region that ``square_law_current`` evaluates at this bias."""
+    if v_ov <= 0:
+        return "cutoff"
+    return "linear" if v_ds < v_ov else "saturation"
+
+
 def bias_point(dev: MosDevice, v_gs: float, v_ds: float, v_sb: float = 0.0) -> OperatingPoint:
     """Classify the operating region and evaluate the drain current.
 
     For pMOS pass source-referenced magnitudes (V_SG, V_SD, |V_BS|); the
-    effective threshold is reported signed.
+    effective threshold is reported signed. A negative v_ds raises InputError.
     """
     for name, v in (("v_gs", v_gs), ("v_ds", v_ds), ("v_sb", v_sb)):
         if not math.isfinite(v):
             raise InputError(f"{name} is not finite")
+    if v_ds < 0:
+        raise InputError("v_ds is a source-referenced magnitude, must be >= 0")
     v_t = threshold_voltage(dev, v_sb)
     v_ov = v_gs - abs(v_t)
-    k = dev.k_prime * dev.wl_ratio
-    if v_ov <= 0:
-        region, i_d = "cutoff", 0.0
-    elif v_ds < v_ov:
-        region = "linear"
-        i_d = 0.5 * k * (2.0 * v_ov * v_ds - v_ds * v_ds)
-    else:
-        region = "saturation"
-        i_d = 0.5 * k * v_ov * v_ov * (1.0 + dev.lambda_ * v_ds)
-    return OperatingPoint(region, i_d, v_t, v_gs, v_ds, v_sb)
+    i_d = square_law_current(dev.k_prime * dev.wl_ratio, v_ov, v_ds, dev.lambda_)
+    return OperatingPoint(_region(v_ov, v_ds), i_d, v_t, v_gs, v_ds, v_sb)
 
 
 def _junction_caps(dev: MosDevice, v_reverse: float, consts: PhysicalConstants):
@@ -266,14 +268,74 @@ class VtcResult:
     regions: dict = field(default_factory=dict)
 
 
+def _bisect(f, lo, hi, steps):
+    """Fixed-step bisection where f falls from > 0 to <= 0; ends are returned as is."""
+    if f(lo) <= 0:
+        return lo
+    if f(hi) >= 0:
+        return hi
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@dataclass(frozen=True)
+class _Fet:
+    """Square-law element: transconductance and threshold keys, gate drive.
+    pMOS thresholds enter the overdrive as magnitudes, nMOS ones signed."""
+    polarity: str
+    k: str
+    vt: str
+    gate: str
+
+    def keys(self):
+        return self.k, self.vt
+
+    def at(self, p, v_dd, v_gs_in):
+        """Current and region as functions of V_DS; a driven gate sees v_gs_in."""
+        v_gs = {"v_in": v_gs_in, "on": v_dd, "source": 0.0}[self.gate]
+        v_ov = v_gs - (abs(p[self.vt]) if self.polarity == "pmos" else p[self.vt])
+        return (functools.partial(square_law_current, p[self.k], v_ov),
+                functools.partial(_region, v_ov))
+
+
+@dataclass(frozen=True)
+class _Resistor:
+    r: str
+
+    def keys(self):
+        return (self.r,)
+
+    def at(self, p, v_dd, v_gs_in):
+        r = p[self.r]
+        return (lambda v_ds: v_ds / r), (lambda v_ds: "resistor")
+
+
+# (pull-up, pull-down) element of each inverter configuration. A pull-up's
+# source sits at v_dd, a pull-down's at ground. A gate is driven by "v_in",
+# tied "on" to the opposite rail, or tied to its own "source" (V_GS = 0, the
+# depletion load). The first key of each element (k_* or r_load) must be > 0.
+INVERTER_ELEMENTS = {
+    "cmos": (_Fet("pmos", "k_p", "vt_p", "v_in"), _Fet("nmos", "k_n", "vt_n", "v_in")),
+    "depletion_load": (_Fet("nmos", "k_load", "vt_load", "source"),
+                       _Fet("nmos", "k_driver", "vt_driver", "v_in")),
+    "resistive_load": (_Fet("pmos", "k_p", "vt_p", "v_in"), _Resistor("r_load")),
+    "pseudo_nmos": (_Fet("pmos", "k_p", "vt_p", "on"), _Fet("nmos", "k_n", "vt_n", "v_in")),
+}
+
+
 class _Vtc:
     """DC transfer curve of a ratioed or complementary inverter.
 
-    The pull-up and pull-down elements are current sources I(v_in, v_out);
-    for every input the output solves I_up = I_down by bisection (the
-    difference is monotone in v_out), then the unity-slope points are
-    refined from a dense scan. Region assumptions are classified after
-    the fact rather than assumed up front.
+    The pull-up and pull-down elements of ``INVERTER_ELEMENTS`` are current
+    sources I(v_in, v_out); for every input the output solves I_up = I_down
+    by bisection (the difference is monotone in v_out), then the
+    unity-slope points are refined from a dense scan. Region assumptions
+    are classified after the fact rather than assumed up front.
     """
 
     def __init__(self, config, v_dd, **p):
@@ -281,54 +343,26 @@ class _Vtc:
         self.v_dd = float(v_dd)
         if self.v_dd <= 0:
             raise InputError("v_dd must be positive")
-        self.p = p
-        need = {
-            "cmos": ("k_n", "vt_n", "k_p", "vt_p"),
-            "depletion_load": ("k_driver", "vt_driver", "k_load", "vt_load"),
-            "pseudo_nmos": ("k_n", "vt_n", "k_p", "vt_p"),
-            "resistive_load": ("k_p", "vt_p", "r_load"),
-        }
-        if config not in need:
+        if config not in INVERTER_ELEMENTS:
             raise InputError(f"unknown inverter config {config!r}")
-        missing = [k for k in need[config] if k not in p]
+        self.p = p
+        self.elements = INVERTER_ELEMENTS[config]
+        missing = [k for e in self.elements for k in e.keys() if k not in p]
         if missing:
             raise InputError(f"{config} needs parameters {missing}")
+        for key in (e.keys()[0] for e in self.elements):
+            if not p[key] > 0:
+                raise InputError(f"{key} must be positive")
 
-    # pull currents; thresholds for pmos/depletion devices are given as
-    # the values that appear in |V_GS| - |V_t| style overdrives
-    def i_up(self, vin, vout):
-        p, vdd = self.p, self.v_dd
-        if self.config == "cmos":
-            return square_law_current(p["k_p"], (vdd - vin) - abs(p["vt_p"]), vdd - vout)
-        if self.config == "depletion_load":
-            return square_law_current(p["k_load"], -p["vt_load"], vdd - vout)
-        if self.config == "pseudo_nmos":
-            return square_law_current(p["k_p"], vdd - abs(p["vt_p"]), vdd - vout)
-        return square_law_current(p["k_p"], (vdd - vin) - abs(p["vt_p"]), vdd - vout)
-
-    def i_down(self, vin, vout):
-        p = self.p
-        if self.config == "resistive_load":
-            return vout / p["r_load"]
-        if self.config == "depletion_load":
-            return square_law_current(p["k_driver"], vin - p["vt_driver"], vout)
-        return square_law_current(p["k_n"], vin - p["vt_n"], vout)
+    def _at(self, vin):
+        """(current, region) functions of V_DS of the pull-up and pull-down at vin."""
+        up, down = self.elements
+        return up.at(self.p, self.v_dd, self.v_dd - vin), down.at(self.p, self.v_dd, vin)
 
     def v_out(self, vin):
-        lo, hi = 0.0, self.v_dd
-        f_lo = self.i_up(vin, lo) - self.i_down(vin, lo)
-        f_hi = self.i_up(vin, hi) - self.i_down(vin, hi)
-        if f_lo <= 0:
-            return 0.0
-        if f_hi >= 0:
-            return self.v_dd
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if self.i_up(vin, mid) - self.i_down(vin, mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        vdd = self.v_dd
+        (i_up, _), (i_down, _) = self._at(vin)
+        return _bisect(lambda vout: i_up(vdd - vout) - i_down(vout), 0.0, vdd, 80)
 
     def slope(self, vin):
         h = self.v_dd * 1e-7
@@ -343,14 +377,8 @@ class _Vtc:
             if g[i] == 0.0:
                 crossings.append(grid[i])
             elif g[i] * g[i + 1] < 0:
-                lo, hi = grid[i], grid[i + 1]
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    if (self.slope(mid) + 1.0) * (g[i]) > 0:
-                        lo = mid
-                    else:
-                        hi = mid
-                crossings.append(0.5 * (lo + hi))
+                crossings.append(_bisect(lambda v: (self.slope(v) + 1.0) * g[i],
+                                         grid[i], grid[i + 1], 60))
         if not crossings:
             raise SolverError(
                 f"no unity-gain point found for {self.config} inverter; "
@@ -358,37 +386,7 @@ class _Vtc:
         return min(crossings), max(crossings)
 
     def v_m(self):
-        lo, hi = 0.0, self.v_dd
-        if self.v_out(lo) - lo <= 0:
-            return lo
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if self.v_out(mid) - mid > 0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    def _classify(self, vin, vout):
-        def region(v_ov, v_ds):
-            if v_ov <= 0:
-                return "cutoff"
-            return "linear" if v_ds < v_ov else "saturation"
-        p, vdd = self.p, self.v_dd
-        out = {}
-        if self.config == "cmos":
-            out["pull_up"] = region((vdd - vin) - abs(p["vt_p"]), vdd - vout)
-            out["pull_down"] = region(vin - p["vt_n"], vout)
-        elif self.config == "depletion_load":
-            out["pull_up"] = region(-p["vt_load"], vdd - vout)
-            out["pull_down"] = region(vin - p["vt_driver"], vout)
-        elif self.config == "pseudo_nmos":
-            out["pull_up"] = region(vdd - abs(p["vt_p"]), vdd - vout)
-            out["pull_down"] = region(vin - p["vt_n"], vout)
-        else:
-            out["pull_up"] = region((vdd - vin) - abs(p["vt_p"]), vdd - vout)
-            out["pull_down"] = "resistor"
-        return out
+        return _bisect(lambda v: self.v_out(v) - v, 0.0, self.v_dd, 80)
 
     def solve(self) -> VtcResult:
         v_oh = self.v_out(0.0)
@@ -399,13 +397,14 @@ class _Vtc:
             raise SolverError(
                 f"inconsistent transfer points v_ol={v_ol:.4g} v_il={v_il:.4g} "
                 f"v_ih={v_ih:.4g} v_oh={v_oh:.4g}")
-        regions = {
-            "at_v_il": self._classify(v_il, self.v_out(v_il)),
-            "at_v_ih": self._classify(v_ih, self.v_out(v_ih)),
-        }
+        regions = {}
+        for name, vin in (("at_v_il", v_il), ("at_v_ih", v_ih)):
+            vout = self.v_out(vin)
+            (_, up), (_, down) = self._at(vin)
+            regions[name] = {"pull_up": up(self.v_dd - vout), "pull_down": down(vout)}
         return VtcResult(v_ol=v_ol, v_oh=v_oh, v_il=v_il, v_ih=v_ih, v_m=v_m,
-                         nm_l=v_il - v_ol, nm_h=v_oh - v_ih,
-                         config=self.config, regions=regions)
+                         nm_l=v_il - v_ol, nm_h=v_oh - v_ih, config=self.config,
+                         regions=regions)
 
 
 def inverter_vtc(config: str, v_dd: float, **params) -> VtcResult:

@@ -303,29 +303,6 @@ def network_graph(net):
     return edges
 
 
-def euler_ordering_valid(net, ordering) -> bool:
-    """Independent check: can ``ordering`` be walked edge-by-edge in the graph?"""
-    edges = network_graph(net)
-    if sorted(ordering) != sorted(label for _, _, label in edges):
-        return False
-
-    def walk(at, remaining, idx):
-        if idx == len(ordering):
-            return True
-        for i, (u, v, label) in enumerate(remaining):
-            if label != ordering[idx]:
-                continue
-            nxt = remaining[:i] + remaining[i + 1:]
-            if u == at and walk(v, nxt, idx + 1):
-                return True
-            if v == at and walk(u, nxt, idx + 1):
-                return True
-        return False
-
-    nodes = {n for u, v, _ in edges for n in (u, v)}
-    return any(walk(start, edges, 0) for start in sorted(nodes))
-
-
 def common_euler_ordering(gate: CompoundGate):
     """Deterministic search for one input ordering that is an Euler path of
     both the PDN and PUN graphs, or None when no such ordering exists."""

@@ -110,23 +110,6 @@ def short_circuit_power(k: float, v_t: float, env: PowerEnv,
     return power
 
 
-def short_circuit_energy_numeric(k, v_t, v_dd, tau_in, steps=20000) -> float:
-    """Quadrature over the triangular current waveform (oracle for the
-    closed form): input ramps 0 -> V_DD in tau_in, the off-going device
-    conducts (k/2)(v_in - v_t)^2 up to the midpoint, symmetric after."""
-    if v_dd <= 2.0 * v_t:
-        return 0.0
-    t_on = v_t / v_dd * tau_in
-    t_mid = 0.5 * tau_in
-    dt = (t_mid - t_on) / steps
-    q = 0.0
-    for i in range(steps):
-        t = t_on + (i + 0.5) * dt
-        v_in = v_dd * t / tau_in
-        q += 0.5 * k * (v_in - v_t) ** 2 * dt
-    return 2.0 * q * v_dd  # both halves, energy drawn from the rail
-
-
 def voltage_scaling_factors(v_from: float, v_to: float, v_t: float) -> dict:
     """Reduction factors when lowering the supply from v_from to v_to:
     switching scales with V^2, crowbar with V*(V - 2Vt)^2."""
@@ -154,14 +137,6 @@ def leakage_stack(i0: float, lambda_d: float, s_swing: float, v_dd: float) -> di
     v_x = (1.0 + lambda_d) / (1.0 + 2.0 * lambda_d) * v_dd
     ratio = 10.0 ** (-lambda_d * v_x / s_swing)
     return {"v_x": v_x, "stack_over_single_ratio": ratio}
-
-
-def leakage_stack_residual(lambda_d, s_swing, v_dd, v_x) -> float:
-    """Relative mismatch of the two stacked-device leakage exponents at
-    v_x (plug-back oracle for leakage_stack)."""
-    top = lambda_d * (v_dd - v_x) / s_swing
-    bottom = ((v_x - v_dd) + lambda_d * v_x) / s_swing
-    return abs(top - bottom) / max(abs(top), abs(bottom), 1e-30)
 
 
 def adiabatic_energy(r_on: float, c: float, v_cmax: float, t_ramp: float,

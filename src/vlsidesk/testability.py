@@ -77,16 +77,6 @@ class Lfsr:
         shifted = (state << 1) & ((1 << self.n) - 1)
         return shifted ^ self.feedback if (state >> (self.n - 1)) & 1 else shifted
 
-    def step_matrix(self, state: int) -> int:
-        bits = [(state >> i) & 1 for i in range(self.n)]
-        out = 0
-        for i, row in enumerate(self.matrix):
-            v = 0
-            for j, m in enumerate(row):
-                v ^= m & bits[j]
-            out |= v << i
-        return out
-
 
 def lfsr_build(poly: GfPolynomial) -> Lfsr:
     """Modular LFSR with XOR taps at the polynomial's nonzero middle terms."""

@@ -85,6 +85,33 @@ def test_unreadable_file_exits_1(tmp_path):
     assert cli.main(["run", str(tmp_path / "missing.json")]) == 1
 
 
+@pytest.mark.parametrize("raw", [
+    b'{"schema": 1, "analysis": "gray_code", "params": {"n_bits": 3}, '
+    b'"meta": {"label": "\xff"}}',
+    b'{"schema": 1, "analysis": "gray_code", "params": {"n_bits": 1' + b"0" * 5000 + b'}}',
+], ids=["not-utf8", "5001-digit-integer"])
+def test_undecodable_case_file_exits_1(tmp_path, capsys, raw):
+    p = tmp_path / "raw.json"
+    p.write_bytes(raw)
+    rc = cli.main(["run", str(p)])
+    cap = capsys.readouterr()
+    assert rc == 1 and cap.out == ""
+    assert json.loads(cap.err)["error"]["code"] == "invalid_case"
+
+
+def test_defect_in_an_adapter_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(params):
+        raise ZeroDivisionError("float division by zero")
+    monkeypatch.setitem(cli.REGISTRY["ring_analyze"], "run", broken)
+    rc = cli.main(["run", write_case(tmp_path, RING_CASE)])
+    cap = capsys.readouterr()
+    assert rc == 3 and cap.out == ""
+    err = json.loads(cap.err)["error"]
+    assert err["code"] == "internal_error"
+    assert err["message"] == "ZeroDivisionError: float division by zero"
+    assert "broken" in err["traceback"]
+
+
 def test_violation_verdicts_still_exit_0(tmp_path, capsys):
     # a failing timing check is a successful analysis; the verdict is data
     case = load_case("timing_pipeline_stage_check")
@@ -237,6 +264,10 @@ DEFECT_CASES = [
      {"pdn": {"parallel": [{"input": f"x{k}"} for k in range(22)]},
       "pun": {"series": [{"input": f"x{k}", "width": 2} for k in range(22)]}},
      2, "analysis_error"),
+    ("inverter_vtc", {"config": "resistive_load", "v_dd": 2.5, "k_p": "60u", "vt_p": 0.5,
+                      "r_load": 0}, 2, "analysis_error"),
+    ("bias_point", {"k_prime": "20u", "vt0": 0.5, "w": 5, "l": 1, "v_gs": 1.2,
+                    "v_ds": -0.2}, 2, "analysis_error"),
 ]
 
 

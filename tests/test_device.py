@@ -44,6 +44,13 @@ def test_cutoff_has_zero_current():
     assert op.region == "cutoff" and op.i_d == 0.0
 
 
+def test_negative_v_ds_is_input_error():
+    dev = MosDevice(k_prime=100e-6, vt0=0.5)
+    with pytest.raises(InputError):
+        device.bias_point(dev, v_gs=1.2, v_ds=-0.2)
+    assert device.bias_point(dev, v_gs=1.2, v_ds=0.0).i_d == 0.0
+
+
 def test_region_boundary_continuity(rng):
     for _ in range(50):
         dev = MosDevice(k_prime=rng.uniform(1e-5, 1e-3),
@@ -204,6 +211,53 @@ def test_resistive_load_matches_sweep_oracle():
     il, ih = _vtc_sweep_oracle("resistive_load", 2.5, **params)
     assert abs(res.v_il - il) < 1e-3
     assert abs(res.v_ih - ih) < 1e-3
+
+
+# Transfer points and regions of each configuration, recorded from the
+# per-configuration solver the element table replaced.
+CROSSING = {"at_v_il": {"pull_up": "linear", "pull_down": "saturation"},
+            "at_v_ih": {"pull_up": "saturation", "pull_down": "linear"}}
+VTC_PINNED = {
+    "cmos": (2.0, dict(k_n=100e-6, vt_n=0.4, k_p=100e-6, vt_p=0.4),
+             dict(v_ol=0.0, v_oh=2.0, v_il=0.850000000002062, v_ih=1.1499999999175499,
+                  v_m=1.0, nm_l=0.850000000002062, nm_h=0.8500000000824501),
+             CROSSING),
+    "depletion_load": (1.8, DEPLETION,
+                       dict(v_ol=0.008058909292494518, v_oh=1.8, v_il=0.4670820393132047,
+                            v_ih=0.5732050807606963, v_m=0.55, nm_l=0.45902313002071016,
+                            nm_h=1.2267949192393037),
+                       CROSSING),
+    "pseudo_nmos": (1.8, dict(k_n=200e-6, vt_n=0.4, k_p=40e-6, vt_p=0.4),
+                    dict(v_ol=0.14780193260011776, v_oh=1.8, v_il=0.6556038600081355,
+                         v_ih=1.122956891334057, v_m=0.9715476066494082,
+                         nm_l=0.5078019274080178, nm_h=0.677043108665943),
+                    CROSSING),
+    "resistive_load": (2.5, dict(k_p=60e-6, vt_p=0.5, r_load=20e3),
+                       dict(v_ol=0.0, v_oh=1.6316376870919327, v_il=0.47631072908523464,
+                            v_ih=1.1666666667163361, v_m=0.8264009035346174,
+                            nm_l=0.47631072908523464, nm_h=0.46497102037559657),
+                       {"at_v_il": {"pull_up": "linear", "pull_down": "resistor"},
+                        "at_v_ih": {"pull_up": "saturation", "pull_down": "resistor"}}),
+}
+
+
+@pytest.mark.parametrize("config", sorted(VTC_PINNED))
+def test_vtc_pinned_values_and_regions(config):
+    v_dd, params, want, regions = VTC_PINNED[config]
+    res = device.inverter_vtc(config, v_dd, **params)
+    for name, value in want.items():
+        assert getattr(res, name) == pytest.approx(value, rel=1e-12, abs=0.0), name
+    assert res.regions == regions
+
+
+@pytest.mark.parametrize("config,key", [
+    ("cmos", "k_p"), ("cmos", "k_n"), ("depletion_load", "k_load"),
+    ("depletion_load", "k_driver"), ("pseudo_nmos", "k_p"), ("pseudo_nmos", "k_n"),
+    ("resistive_load", "k_p"), ("resistive_load", "r_load")])
+def test_vtc_element_scale_must_be_positive(config, key):
+    v_dd, params, _, _ = VTC_PINNED[config]
+    with pytest.raises(InputError, match=key):
+        device.inverter_vtc(config, v_dd, **dict(params, **{key: 0.0}))
 
 
 def test_vtc_unknown_config():

@@ -15,9 +15,9 @@ from vlsidesk.gates import (
     common_euler_ordering,
     compound_gate,
     delay_bounds,
-    euler_ordering_valid,
     evaluate_network,
     network_from_json,
+    network_graph,
     network_inputs,
 )
 
@@ -156,6 +156,29 @@ def test_evaluate_network_matches_expression(rng):
         net = gates.sp_from_expr(expr)
         for a in all_assignments(expr.variables()):
             assert evaluate_network(net, a) == expr.evaluate(a)
+
+
+def euler_ordering_valid(net, ordering) -> bool:
+    """Independent check: can ``ordering`` be walked edge-by-edge in the graph?"""
+    edges = network_graph(net)
+    if sorted(ordering) != sorted(label for _, _, label in edges):
+        return False
+
+    def walk(at, remaining, idx):
+        if idx == len(ordering):
+            return True
+        for i, (u, v, label) in enumerate(remaining):
+            if label != ordering[idx]:
+                continue
+            nxt = remaining[:i] + remaining[i + 1:]
+            if u == at and walk(v, nxt, idx + 1):
+                return True
+            if v == at and walk(u, nxt, idx + 1):
+                return True
+        return False
+
+    nodes = {n for u, v, _ in edges for n in (u, v)}
+    return any(walk(start, edges, 0) for start in sorted(nodes))
 
 
 def test_common_euler_ordering_exists():

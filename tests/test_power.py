@@ -12,8 +12,6 @@ from vlsidesk.power import (
     bus_split,
     gray_code,
     leakage_stack,
-    leakage_stack_residual,
-    short_circuit_energy_numeric,
     short_circuit_power,
     signal_probability,
     switching_power,
@@ -180,6 +178,23 @@ def test_short_circuit_overflow_is_a_domain_error():
         short_circuit_power(1e300, 0.0, PowerEnv(v_dd=1e10, f_clk=1e10), 1.0)
 
 
+def short_circuit_energy_numeric(k, v_t, v_dd, tau_in, steps=20000) -> float:
+    """Quadrature over the triangular current waveform (oracle for the
+    closed form): input ramps 0 -> V_DD in tau_in, the off-going device
+    conducts (k/2)(v_in - v_t)^2 up to the midpoint, symmetric after."""
+    if v_dd <= 2.0 * v_t:
+        return 0.0
+    t_on = v_t / v_dd * tau_in
+    t_mid = 0.5 * tau_in
+    dt = (t_mid - t_on) / steps
+    q = 0.0
+    for i in range(steps):
+        t = t_on + (i + 0.5) * dt
+        v_in = v_dd * t / tau_in
+        q += 0.5 * k * (v_in - v_t) ** 2 * dt
+    return 2.0 * q * v_dd  # both halves, energy drawn from the rail
+
+
 def test_short_circuit_matches_quadrature(rng):
     for _ in range(5):
         k = rng.uniform(5e-5, 5e-4)
@@ -224,6 +239,14 @@ def test_leakage_stack_no_dibl():
     res = leakage_stack(1e-9, 0.0, 0.1, 1.0)
     assert res["v_x"] == pytest.approx(1.0)
     assert res["stack_over_single_ratio"] == pytest.approx(1.0)
+
+
+def leakage_stack_residual(lambda_d, s_swing, v_dd, v_x) -> float:
+    """Relative mismatch of the two stacked-device leakage exponents at
+    v_x (plug-back oracle for leakage_stack)."""
+    top = lambda_d * (v_dd - v_x) / s_swing
+    bottom = ((v_x - v_dd) + lambda_d * v_x) / s_swing
+    return abs(top - bottom) / max(abs(top), abs(bottom), 1e-30)
 
 
 def test_leakage_stack_kcl_residual(rng):

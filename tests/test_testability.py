@@ -38,11 +38,23 @@ def test_polynomial_needs_constant_term():
         GfPolynomial((0, 1, 1))
 
 
+def step_matrix(lfsr, state: int) -> int:
+    """One step as the companion-matrix product over GF(2) (oracle for Lfsr.step)."""
+    bits = [(state >> i) & 1 for i in range(lfsr.n)]
+    out = 0
+    for i, row in enumerate(lfsr.matrix):
+        v = 0
+        for j, m in enumerate(row):
+            v ^= m & bits[j]
+        out |= v << i
+    return out
+
+
 def test_matrix_stepping_equals_structural():
     for powers in ([0, 2, 7, 8], [0, 1, 4], [0, 3, 5], [0, 1, 2, 3, 4]):
         lfsr = lfsr_build(GfPolynomial.from_powers(powers))
         for state in range(1 << lfsr.n):
-            assert lfsr.step(state) == lfsr.step_matrix(state)
+            assert lfsr.step(state) == step_matrix(lfsr, state)
 
 
 def test_zero_seed_is_absorbing():
