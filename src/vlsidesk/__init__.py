@@ -4,16 +4,8 @@ Closed-form device, interconnect, gate-sizing, timing, power, SRAM and
 test-logic calculations, exposed as a library and a batch CLI.
 """
 
-from . import (
-    device,
-    effort,
-    gates,
-    interconnect,
-    memory,
-    power,
-    testability,
-    timing,
-)
+import importlib
+
 from .errors import (
     DesignError,
     DomainError,
@@ -27,15 +19,11 @@ from .errors import (
     VlsiError,
 )
 
+_ANALYSIS_MODULES = ("device", "gates", "interconnect", "effort", "timing", "power",
+                     "memory", "testability")
+
 __all__ = [
-    "device",
-    "gates",
-    "interconnect",
-    "effort",
-    "timing",
-    "power",
-    "memory",
-    "testability",
+    *_ANALYSIS_MODULES,
     "VlsiError",
     "DomainError",
     "GeometryError",
@@ -49,3 +37,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Import an analysis module on first use (PEP 562), so that a process
+    loads only the analyses it runs."""
+    if name in _ANALYSIS_MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

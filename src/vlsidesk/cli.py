@@ -11,14 +11,29 @@ machine-readable error object on stderr for both failure kinds.
 import argparse
 import dataclasses
 import functools
+import importlib
 import json
+import numbers
 import sys
 
-import jsonschema
-
-from . import device, effort, gates, interconnect, memory, power, testability, timing
+from . import device
 from .errors import QuantityError, VlsiError
 from .units import format_number, parse_quantity
+
+
+class _Lazy:
+    """A library module imported on first use. ``importlib.import_module``
+    holds the import lock, so a thread never sees a half-initialised module."""
+
+    def __init__(self, name):
+        self._name = f"{__package__}.{name}"
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+effort, gates, interconnect, memory, power, testability, timing = map(_Lazy, (
+    "effort", "gates", "interconnect", "memory", "power", "testability", "timing"))
 
 SCHEMA_VERSION = 1
 
@@ -132,26 +147,17 @@ def _take(res, **units):
     return [(k, res[k], u) for k, u in units.items() if k in res]
 
 
-_MOS_FIELDS = {f.name for f in dataclasses.fields(device.MosDevice)}
-_MOS_RENAMED = {"lambda": "lambda_", "wl": "w"}
+# schema name -> MosDevice field; the schema drops the trailing "_" of ``lambda_``
+_MOS_FIELDS = {f.name.rstrip("_"): f.name for f in dataclasses.fields(device.MosDevice)}
+_DEVICE_PROPS = {k: {"enum": ["nmos", "pmos"]} if k == "polarity" else NUM for k in _MOS_FIELDS}
 
 
 def _mos_device(params):
     """Split ``params`` into a MosDevice and the params that are not device
     fields (schema ``lambda`` and ``wl`` are the fields ``lambda_`` and ``w``)."""
-    names = {k: _MOS_RENAMED.get(k, k) for k in params}
-    dev = device.MosDevice(**{names[k]: v for k, v in params.items()
-                              if names[k] in _MOS_FIELDS})
-    return dev, {k: v for k, v in params.items() if names[k] not in _MOS_FIELDS}
-
-
-_DEVICE_PROPS = {
-    "polarity": {"enum": ["nmos", "pmos"]},
-    "k_prime": NUM, "vt0": NUM, "gamma": NUM, "phi_f2": NUM, "lambda": NUM,
-    "w": NUM, "l": NUM, "l_d": NUM, "t_ox": NUM, "c_ox": NUM,
-    "n_d": NUM, "n_a_sub": NUM, "n_a_sw": NUM,
-    "x_j": NUM, "x_j_sw": NUM, "y": NUM, "m_j": NUM, "m_jsw": NUM,
-}
+    fields = {**_MOS_FIELDS, "wl": "w"}
+    dev = device.MosDevice(**{fields[k]: v for k, v in params.items() if k in fields})
+    return dev, {k: v for k, v in params.items() if k not in fields}
 
 
 REGISTRY = {}
@@ -797,29 +803,112 @@ def load_case(path):
         raise CaseError(f"case file is not valid JSON: {e}") from e
 
 
+# --- compiled schema checks -------------------------------------------------
+
+_TYPES = {  # Draft 2020-12 types as jsonschema tells them apart
+    "array": lambda x: isinstance(x, list),
+    "boolean": lambda x: isinstance(x, bool),
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                          or isinstance(x, float) and x.is_integer()),
+    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+    "object": lambda x: isinstance(x, dict),
+    "string": lambda x: isinstance(x, str),
+}
+_KEYWORDS = {"type", "properties", "required", "additionalProperties", "items",
+             "prefixItems", "minItems", "maxItems", "enum", "const", "oneOf", "anyOf",
+             "$ref", "$defs"}
+
+
+def _among(values):
+    """Membership by jsonschema's equality, under which True and False differ
+    from 1 and 0; only scalar values compile."""
+    if any(isinstance(v, (list, dict)) for v in values):
+        raise ValueError(f"no compiled check for the non-scalar values in {values}")
+    allowed = [(isinstance(v, bool), v) for v in values]
+    return lambda x: (isinstance(x, bool), x) in allowed
+
+
+def _compile(schema, root, refs):
+    """A predicate that accepts exactly what jsonschema's Draft 2020-12
+    validator accepts for ``schema``, a part of the document ``root``, whose
+    ``$defs`` its ``$ref``s name; ``refs`` maps each ``$ref`` met so far to
+    its predicate. A keyword outside _KEYWORDS raises ValueError."""
+    if isinstance(schema, bool):
+        return lambda x: schema
+    unknown = schema.keys() - _KEYWORDS
+    if unknown:
+        raise ValueError(f"no compiled check for schema keywords {sorted(unknown)}")
+    sub = functools.partial(_compile, root=root, refs=refs)
+    checks = []
+    if "$ref" in schema:
+        ref = schema["$ref"]
+        if ref not in refs:
+            refs[ref] = None  # a recursive reference looks its target up when it runs
+            refs[ref] = sub(root["$defs"][ref.removeprefix("#/$defs/")])
+        checks.append(lambda x: refs[ref](x))
+    if "type" in schema:
+        kinds = [_TYPES[t] for t in
+                 ([schema["type"]] if isinstance(schema["type"], str) else schema["type"])]
+        checks.append(kinds[0] if len(kinds) == 1 else
+                      lambda x: any(kind(x) for kind in kinds))
+    if "enum" in schema:
+        checks.append(_among(schema["enum"]))
+    if "const" in schema:
+        checks.append(_among([schema["const"]]))
+    if schema.keys() & {"properties", "required", "additionalProperties"}:
+        props = {k: sub(v) for k, v in schema.get("properties", {}).items()}
+        required = schema.get("required", [])
+        extra = sub(schema.get("additionalProperties", True))
+        checks.append(lambda x: not isinstance(x, dict) or (
+            all(k in x for k in required)
+            and all(props.get(k, extra)(v) for k, v in x.items())))
+    if schema.keys() & {"prefixItems", "items", "minItems", "maxItems"}:
+        prefix = [sub(s) for s in schema.get("prefixItems", [])]
+        rest = sub(schema.get("items", True))
+        lo, hi = schema.get("minItems", 0), schema.get("maxItems", float("inf"))
+        checks.append(lambda x: not isinstance(x, list) or (
+            lo <= len(x) <= hi
+            and all((prefix[i] if i < len(prefix) else rest)(v) for i, v in enumerate(x))))
+    if "oneOf" in schema:
+        one_of = [sub(s) for s in schema["oneOf"]]
+        checks.append(lambda x: sum(check(x) for check in one_of) == 1)
+    if "anyOf" in schema:
+        any_of = [sub(s) for s in schema["anyOf"]]
+        checks.append(lambda x: any(check(x) for check in any_of))
+    return checks[0] if len(checks) == 1 else lambda x: all(check(x) for check in checks)
+
+
 @functools.cache
-def _validator(name):
-    """One validator per schema: the case envelope (``None``) or an analysis."""
+def _check(name):
+    """The compiled check of one schema: the case envelope (``None``) or an analysis."""
     schema = CASE_SCHEMA if name is None else REGISTRY[name]["schema"]
-    return jsonschema.Draft202012Validator(schema)
+    return _compile(schema, schema, {})
 
 
 def validate_case(case) -> str:
     """Return the analysis id after full schema validation; raise CaseError
-    naming the first violation otherwise."""
-    e = jsonschema.exceptions.best_match(_validator(None).iter_errors(case))
+    naming the first violation otherwise. The compiled checks decide; only a
+    rejected case imports jsonschema, whose first error the message names."""
+    if _check(None)(case) and case["analysis"] in REGISTRY \
+            and _check(case["analysis"])(case["params"]):
+        return case["analysis"]
+    import jsonschema
+    e = jsonschema.exceptions.best_match(
+        jsonschema.Draft202012Validator(CASE_SCHEMA).iter_errors(case))
     if e is not None:
         path = "/".join(str(p) for p in e.absolute_path) or "(top level)"
         raise CaseError(f"case structure invalid at {path}: {e.message}")
     name = case["analysis"]
     if name not in REGISTRY:
         raise CaseError(f"unknown analysis {name!r}")
-    e = min(_validator(name).iter_errors(case["params"]),
+    validator = jsonschema.Draft202012Validator(REGISTRY[name]["schema"])
+    e = min(validator.iter_errors(case["params"]),
             key=lambda e: (e.json_path, e.message), default=None)
     if e is not None:
         path = "/".join(str(p) for p in e.absolute_path) or "(params)"
         raise CaseError(f"params invalid at {path}: {e.message}")
-    return name
+    raise AssertionError(f"the compiled schema check rejects a {name!r} case that "
+                         "jsonschema accepts")
 
 
 def run_case(case) -> dict:

@@ -347,9 +347,13 @@ class _Vtc:
             raise InputError(f"unknown inverter config {config!r}")
         self.p = p
         self.elements = INVERTER_ELEMENTS[config]
-        missing = [k for e in self.elements for k in e.keys() if k not in p]
+        used = [k for e in self.elements for k in e.keys()]
+        missing = [k for k in used if k not in p]
         if missing:
             raise InputError(f"{config} needs parameters {missing}")
+        stray = [k for k in p if k not in used]
+        if stray:
+            raise InputError(f"{config} does not use parameters {stray}")
         for key in (e.keys()[0] for e in self.elements):
             if not p[key] > 0:
                 raise InputError(f"{key} must be positive")

@@ -112,6 +112,15 @@ def test_defect_in_an_adapter_exits_3(tmp_path, capsys, monkeypatch):
     assert "broken" in err["traceback"]
 
 
+def test_compiled_check_never_accepts_silently(tmp_path, capsys, monkeypatch):
+    # a compiled check that rejects a case jsonschema accepts is a defect
+    monkeypatch.setattr(cli, "_check", lambda name: lambda x: name is None)
+    rc = cli.main(["run", write_case(tmp_path, RING_CASE)])
+    cap = capsys.readouterr()
+    assert rc == 3 and cap.out == ""
+    assert json.loads(cap.err)["error"]["message"].startswith("AssertionError: ")
+
+
 def test_violation_verdicts_still_exit_0(tmp_path, capsys):
     # a failing timing check is a successful analysis; the verdict is data
     case = load_case("timing_pipeline_stage_check")
@@ -268,6 +277,8 @@ DEFECT_CASES = [
                       "r_load": 0}, 2, "analysis_error"),
     ("bias_point", {"k_prime": "20u", "vt0": 0.5, "w": 5, "l": 1, "v_gs": 1.2,
                     "v_ds": -0.2}, 2, "analysis_error"),
+    ("inverter_vtc", {"config": "resistive_load", "v_dd": 2.5, "k_p": "60u", "vt_p": 0.5,
+                      "r_load": "20k", "k_n": "1m"}, 2, "analysis_error"),
 ]
 
 

@@ -260,6 +260,17 @@ def test_vtc_element_scale_must_be_positive(config, key):
         device.inverter_vtc(config, v_dd, **dict(params, **{key: 0.0}))
 
 
+@pytest.mark.parametrize("config", sorted(VTC_PINNED))
+def test_vtc_rejects_parameters_its_elements_do_not_read(config):
+    v_dd, params, _, _ = VTC_PINNED[config]
+    keys = {k for pair in device.INVERTER_ELEMENTS.values() for e in pair for k in e.keys()}
+    stray = sorted(keys - set(params))
+    with pytest.raises(InputError) as e:
+        device.inverter_vtc(config, v_dd, **params, **dict.fromkeys(stray, 1.0))
+    assert all(repr(k) in str(e.value) for k in stray)
+    assert not any(repr(k) in str(e.value) for k in params)
+
+
 def test_vtc_unknown_config():
     with pytest.raises(InputError):
         device.inverter_vtc("ttl", 5.0)

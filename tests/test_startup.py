@@ -1,0 +1,102 @@
+"""Start-up of the CLI, each check in a fresh interpreter: a valid case never
+imports jsonschema, and only the analysis module a case uses is loaded."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from vlsidesk import cli
+
+from conftest import CASES_DIR, load_case
+
+SRC = pathlib.Path(cli.__file__).resolve().parent.parent
+ALWAYS = {"vlsidesk", "vlsidesk.cli", "vlsidesk.device", "vlsidesk.errors", "vlsidesk.units"}
+
+
+def fresh_python(code, *args, stdin=None):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], input=stdin, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+LOADED = """
+import json, sys
+from vlsidesk import cli
+code = cli.main(["run", sys.argv[1]])
+sys.stdout.flush()
+sys.stderr.write(json.dumps({"exit": code, "jsonschema": "jsonschema" in sys.modules,
+                             "vlsidesk": sorted(m for m in sys.modules
+                                                if m.startswith("vlsidesk"))}))
+"""
+
+
+@pytest.mark.parametrize("case,modules", [
+    ("device_general_scaling", set()),
+    ("timing_ring_design", {"vlsidesk.timing"}),
+    ("interconnect_wire_rc_m1", {"vlsidesk.interconnect"}),
+    ("test_atpg_smallest_vector", {"vlsidesk.testability", "vlsidesk.boolexpr"}),
+    ("effort_nand_path_f64", {"vlsidesk.effort", "vlsidesk.gates", "vlsidesk.boolexpr"}),
+])
+def test_valid_run_loads_only_its_analysis_and_no_jsonschema(case, modules):
+    proc = fresh_python(LOADED, str(CASES_DIR / f"{case}.json"))
+    seen = json.loads(proc.stderr)
+    assert seen == {"exit": 0, "jsonschema": False, "vlsidesk": sorted(ALWAYS | modules)}
+    assert proc.stdout == cli.render_json(cli.run_case(load_case(case)))
+
+
+def test_import_vlsidesk_loads_no_analysis_module():
+    proc = fresh_python("import sys, vlsidesk\n"
+                        "print(sorted(m for m in sys.modules if m.startswith('vlsidesk')))\n"
+                        "print(vlsidesk.timing.__name__)")
+    assert proc.stdout.splitlines() == ["['vlsidesk', 'vlsidesk.errors']", "vlsidesk.timing"]
+
+
+def test_rejected_case_still_names_the_violation(tmp_path):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({"schema": 1, "analysis": "ring_design",
+                                "params": {"n_stages": 5, "period": "2n"}}))
+    proc = fresh_python("import sys\nfrom vlsidesk import cli\nsys.exit(cli.main(sys.argv[1:]))",
+                        "run", str(path))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == ('{"error": {"code": "invalid_case", "message": '
+                           '"params invalid at (params): \'duty\' is a required property"}}\n')
+
+
+THREADS = """
+import json, sys, threading
+from vlsidesk import cli
+cases = json.loads(sys.stdin.read())
+barrier = threading.Barrier(len(cases))
+out = [None] * len(cases)
+
+def first_use(i):
+    barrier.wait()
+    out[i] = cli.render_json(cli.run_case(cases[i]))
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=first_use, args=(i,)) for i in range(len(cases))]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(30)
+print(json.dumps({"alive": any(t.is_alive() for t in threads), "out": out}))
+"""
+
+
+def test_concurrent_first_use_of_different_analyses():
+    # pairs of analyses in one module; effort, testability and power all
+    # import boolexpr on first use
+    names = ["effort_template_nand_reference", "effort_nand_path_f64",
+             "test_atpg_smallest_vector", "test_lfsr_primitive",
+             "power_signal_prob_sop", "power_gray_code"]
+    cases = [load_case(n) for n in names]
+    want = [cli.render_json(cli.run_case(c)) for c in cases]
+    for _ in range(3):
+        proc = fresh_python(THREADS, stdin=json.dumps(cases))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"alive": False, "out": want}
