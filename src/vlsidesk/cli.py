@@ -363,10 +363,17 @@ def _sized_gate(obj, mu):
                               w_n=1.0, w_p=mu, mu=mu)
 
 
+_NETWORK = {"$ref": "#/$defs/network"}
+_PULL_UP = {"oneOf": [_NETWORK, {"type": "object", "required": ["pullup_load"],
+                                   "properties": {"pullup_load": NUM},
+                                   "additionalProperties": False}]}
+
+
 @analysis("derive_template",
-          {"pdn": {"$ref": "#/$defs/network"}, "pun": {"type": "object"},
-           "mu": NUM, "cd_over_cg": NUM,
-           "reference": {"type": "object"}},
+          {"pdn": _NETWORK, "pun": _PULL_UP, "mu": NUM, "cd_over_cg": NUM,
+           "reference": {"type": "object", "required": ["pdn", "pun"],
+                         "properties": {"pdn": _NETWORK, "pun": _PULL_UP, "mu": NUM},
+                         "additionalProperties": False}},
           ["pdn", "pun"])
 def _run_derive_template(params):
     mu = params.get("mu", 2.0)
@@ -828,6 +835,10 @@ def _among(values):
     return lambda x: (isinstance(x, bool), x) in allowed
 
 
+def _either(first, second):
+    return lambda x: first(x) or second(x)
+
+
 def _compile(schema, root, refs):
     """A predicate that accepts exactly what jsonschema's Draft 2020-12
     validator accepts for ``schema``, a part of the document ``root``, whose
@@ -849,8 +860,7 @@ def _compile(schema, root, refs):
     if "type" in schema:
         kinds = [_TYPES[t] for t in
                  ([schema["type"]] if isinstance(schema["type"], str) else schema["type"])]
-        checks.append(kinds[0] if len(kinds) == 1 else
-                      lambda x: any(kind(x) for kind in kinds))
+        checks.append(functools.reduce(_either, kinds))
     if "enum" in schema:
         checks.append(_among(schema["enum"]))
     if "const" in schema:

@@ -11,12 +11,13 @@ import math
 from dataclasses import dataclass
 
 from . import boolexpr
-from .errors import DesignError, InputError, SizeError
+from .errors import DesignError, DomainError, InputError, SizeError
 from .gates import (
     RESISTANCE_INPUT_LIMIT,
     CompoundGate,
     Parallel,
     Switch,
+    _read_once_resistances,
     _resistance,
     network_inputs,
     network_table,
@@ -78,22 +79,41 @@ def _pull_resistances(drive_net, oppose, mu, rho_drive):
     opposing side (dual network evaluated on complemented inputs, or an
     always-on load) subtracts conductance when it fights the transition.
     An input decides a pattern when turning it off stops the conduction.
+
+    A read-once driving network takes the closed form instead when the
+    opposing side never conducts with it and the worst pattern still
+    completes the transition: the effective resistance then rises with the
+    drive resistance, so each maximum lies where the drive's does.
     """
-    names = sorted(set(network_inputs(drive_net)))
+    switches = network_inputs(drive_net)
+    names = sorted(set(switches))
     if len(names) > RESISTANCE_INPUT_LIMIT:
         raise SizeError(f"{len(names)} inputs exceeds the enumeration bound")
-    inputs = dict(zip(names, boolexpr.pattern_tables(len(names))[0]))
+    tables, full = boolexpr.pattern_tables(len(names))
+    inputs = dict(zip(names, tables))
     conducts = network_table(drive_net, inputs)
+    load = oppose.width / mu if isinstance(oppose, PullupLoad) else None
+
+    def g_of(r):
+        return 1.0 / r if load is None else 1.0 / r - load
+
+    # an opposing network that names an input the driving one lacks is left
+    # to the enumeration, which reads that input only on the patterns it must
+    blocks = oppose is None or load is not None or (
+        set(network_inputs(oppose)) <= inputs.keys()
+        and not conducts & network_table(oppose, {x: full ^ t for x, t in inputs.items()}))
+    if blocks and len(names) == len(switches):
+        worst, _, deciding = _read_once_resistances(drive_net, rho_drive)
+        if g_of(worst) > 0:
+            return {x: 1.0 / g_of(r) for x, r in deciding.items()}, 1.0 / g_of(worst)
     decides = {x: set(boolexpr.set_patterns(
         conducts & inputs[x] & ~network_table(drive_net, {**inputs, x: 0})))
         for x in names}
     per_input, overall = {}, None
     for k in boolexpr.set_patterns(conducts):
         a = dict(zip(names, boolexpr.pattern_bits(k, len(names))))
-        g_eff = 1.0 / _resistance(drive_net, a, rho_drive)
-        if isinstance(oppose, PullupLoad):
-            g_eff -= oppose.width / mu
-        elif oppose is not None:
+        g_eff = g_of(_resistance(drive_net, a, rho_drive))
+        if oppose is not None and load is None:
             flipped = {x: 1 - v for x, v in a.items()}
             rho_opp = mu if rho_drive == 1.0 else 1.0
             r_opp = _resistance(oppose, flipped, rho_opp)
@@ -152,6 +172,11 @@ def derive_template(gate: CompoundGate, reference: CompoundGate,
     ref_caps = _input_caps(reference)
     ref_c_in = next(iter(ref_caps.values()))
     _, ref_r = _pull_resistances(reference.pdn, None, reference.mu, 1.0)
+    for net, r in (("pull-down", fall_worst), ("pull-up", rise_worst),
+                   ("reference pull-down", ref_r)):
+        if r is None:
+            raise DomainError(f"the {net} network completes no transition: no conducting "
+                              "pattern has a positive effective conductance")
     norm = ref_r * ref_c_in
 
     caps = _input_caps(gate)

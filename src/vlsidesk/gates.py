@@ -12,11 +12,12 @@ a parallel node hands the full budget to each child.
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
 from . import boolexpr
-from .errors import InputError, SizeError, StructureError
+from .errors import DomainError, InputError, SizeError, StructureError
 from .units import parse_quantity
 
 EULER_INPUT_LIMIT = 12
@@ -232,16 +233,34 @@ def _resistance(net, assignment, rho):
     return 1.0 / conductance if conductance else None
 
 
-def _read_once_bounds(net, rho):
-    # worst and best exactly as the enumeration rounds them: a parallel node is
-    # worst with its worst child alone on, best with every child at its best
+def _sum(rs):
+    # left to right from 0.0, as the enumeration adds; ``sum`` may compensate
+    total = 0.0
+    for r in rs:
+        total += r
+    return total
+
+
+def _read_once_resistances(net, rho):
+    """(worst, best, deciding) of a network whose switch names do not repeat,
+    each rounded exactly as the enumeration rounds it. ``deciding`` maps each
+    switch to the worst resistance over the patterns where turning it off
+    stops conduction: every series sibling on its path at its own worst and
+    every parallel sibling off. Rounding is monotone, so each maximum lies at
+    that one pattern; a parallel node is worst with its worst child alone on
+    and best with every child at its best."""
     if isinstance(net, Switch):
         r = rho / net.width
-        return r, r
-    kids = [_read_once_bounds(c, rho) for c in net.children]
+        return r, r, {net.name: r}
+    kids = [_read_once_resistances(c, rho) for c in net.children]
+    worsts = [w for w, _, _ in kids]
     if isinstance(net, Series):
-        return sum(w for w, _ in kids), sum(b for _, b in kids)
-    return max(1.0 / (0.0 + 1.0 / w) for w, _ in kids), 1.0 / sum(1.0 / b for _, b in kids)
+        deciding = {x: _sum(worsts[:j] + [r] + worsts[j + 1:])
+                    for j, (_, _, dec) in enumerate(kids) for x, r in dec.items()}
+        return _sum(worsts), _sum(b for _, b, _ in kids), deciding
+    deciding = {x: 1.0 / (0.0 + 1.0 / r) for _, _, dec in kids for x, r in dec.items()}
+    return (max(1.0 / (0.0 + 1.0 / w) for w in worsts),
+            1.0 / _sum(1.0 / b for _, b, _ in kids), deciding)
 
 
 def resistance_bounds(net, rho=1.0):
@@ -253,7 +272,7 @@ def resistance_bounds(net, rho=1.0):
     switches = network_inputs(net)
     names = sorted(set(switches))
     if len(names) == len(switches):
-        return _read_once_bounds(net, rho)
+        return _read_once_resistances(net, rho)[:2]
     if len(names) > RESISTANCE_INPUT_LIMIT:
         raise SizeError(f"{len(names)} inputs exceeds the enumeration bound")
     tables, _ = boolexpr.pattern_tables(len(names))
@@ -274,6 +293,10 @@ def delay_bounds(gate: CompoundGate, c_l=1.0) -> dict:
     """
     fall_worst, fall_best = resistance_bounds(gate.pdn, rho=gate.w_n)
     rise_worst, rise_best = resistance_bounds(gate.pun, rho=gate.mu * gate.w_n)
+    if not all(0.0 < r < math.inf for r in (fall_worst, fall_best, rise_worst, rise_best)):
+        raise DomainError(f"resistance bounds (worst, best) fall ({fall_worst:g}, "
+                          f"{fall_best:g}), rise ({rise_worst:g}, {rise_best:g}) are not "
+                          "all positive and finite")
     return {
         "fall": {"worst": fall_worst * c_l, "best": fall_best * c_l},
         "rise": {"worst": rise_worst * c_l, "best": rise_best * c_l},

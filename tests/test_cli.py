@@ -258,7 +258,7 @@ DEFECT_CASES = [
     ("pipeline_metrics", {"stage_delays": [1], "target_period": 1e-310},
      2, "analysis_error"),
     ("derive_template", {"pdn": {"input": "a"}, "pun": {"series": 5}},
-     2, "analysis_error"),
+     1, "invalid_case"),
     ("elmore", {"root": "s", "edges": [[["x"], "a", 1]], "caps": {"a": 1}, "sink": "a"},
      1, "invalid_case"),
     ("lfsr", {"powers": [0, -3]}, 2, "analysis_error"),
@@ -279,6 +279,17 @@ DEFECT_CASES = [
                     "v_ds": -0.2}, 2, "analysis_error"),
     ("inverter_vtc", {"config": "resistive_load", "v_dd": 2.5, "k_p": "60u", "vt_p": 0.5,
                       "r_load": "20k", "k_n": "1m"}, 2, "analysis_error"),
+    ("derive_template", {"pdn": {"input": "a", "width": "1e-320"},
+                         "pun": {"input": "a", "width": "1e-320"}}, 2, "analysis_error"),
+    ("derive_template", {"pdn": {"input": "a"}, "pun": {"input": "a", "width": 2},
+                         "reference": {"pdn": {"input": "a", "width": "1e-320"},
+                                       "pun": {"input": "a", "width": 2}}},
+     2, "analysis_error"),
+    ("delay_bounds", {"expr": "a*b", "mu": 1e-308}, 2, "analysis_error"),
+    ("delay_bounds", {"expr": "a*b", "w_n": 1e-308}, 2, "analysis_error"),
+    ("derive_template", {"pdn": {"input": "a"}, "pun": {"input": 1e-308}}, 1, "invalid_case"),
+    ("derive_template", {"pdn": {"input": "a"}, "pun": {"input": "a"},
+                         "reference": {"pdn": {"input": "a"}}}, 1, "invalid_case"),
 ]
 
 

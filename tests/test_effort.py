@@ -13,6 +13,7 @@ from vlsidesk.effort import (
     path_delay,
     size_stages,
 )
+from vlsidesk.errors import DomainError
 from vlsidesk.gates import CompoundGate, Parallel, Series, Switch
 
 
@@ -44,6 +45,24 @@ def test_ratioed_gate_template():
     assert tpl.g_rise["c"] == pytest.approx(10 / 3)
     assert tpl.p_rise == pytest.approx(6.0)
     assert tpl.p_fall == pytest.approx(24 / 11)
+
+
+@pytest.mark.parametrize("which", ["pull-down", "pull-up", "reference pull-down"])
+def test_no_completing_pattern_names_the_network(which):
+    # a 1e-320 width makes that network's drive resistance inf and its g_eff 0
+    width = {which: 1e-320}
+    gate = CompoundGate(pdn=Switch("a", width.get("pull-down", 1.0)),
+                        pun=Switch("a", width.get("pull-up", 2.0)), mu=2.0)
+    ref = inverter(w_n=width.get("reference pull-down", 1.0))
+    with pytest.raises(DomainError,
+                       match=f"^the {which} network completes no transition"):
+        derive_template(gate, ref)
+
+
+def test_load_stronger_than_the_pull_down_is_a_domain_error():
+    gate = CompoundGate(pdn=Switch("a"), pun=PullupLoad(100.0), mu=2.0)
+    with pytest.raises(DomainError, match="^the pull-down network completes no transition"):
+        derive_template(gate, inverter())
 
 
 def nand2(mu=2.0):

@@ -252,6 +252,75 @@ def test_pull_resistances_match_oracle():
             assert effort._pull_resistances(*args) == pull_resistances_oracle(*args)
 
 
+def _rewidth(rng, net):
+    if isinstance(net, Switch):
+        return Switch(net.name, rng.uniform(0.2, 5.0))
+    return type(net)(tuple(_rewidth(rng, c) for c in net.children))
+
+
+def test_read_once_pull_resistances_match_oracle(monkeypatch):
+    """Closed form where it applies, enumeration where it does not, both
+    exactly equal to the oracle; the tallies show which path each took."""
+    calls = []
+    monkeypatch.setattr(effort, "_resistance",
+                        lambda *args: calls.append(1) or gates._resistance(*args))
+    rng = random.Random(4010)
+    enumerated = {"dual": 0, "dual_mu": 0, "none": 0, "load": 0, "fighter": 0}
+    for _ in range(300):
+        net = _rewidth(rng, random_network(rng, list("abcdefg"), 4, read_once=True))
+        names = sorted(set(gates.network_inputs(net)))
+        mu = rng.choice([1.5, 2.0, 3.0])
+        dual = _rewidth(rng, gates.dual_network(net))
+        fighter = Parallel(tuple(Switch(x, rng.uniform(0.2, 5.0)) for x in names)
+                           + (Switch(names[0]),))
+        load = effort.PullupLoad(0.05 * 800.0 ** rng.random())  # 0.05 to 40
+        for kind, args in (("dual", (net, dual, mu, 1.0)), ("dual_mu", (net, dual, mu, mu)),
+                           ("none", (net, None, mu, 1.0)), ("load", (net, load, mu, 1.0)),
+                           ("fighter", (net, fighter, mu, 1.0))):
+            calls.clear()
+            assert effort._pull_resistances(*args) == pull_resistances_oracle(*args)
+            enumerated[kind] += bool(calls)
+    assert enumerated["dual"] == enumerated["dual_mu"] == enumerated["none"] == 0
+    assert 30 < enumerated["load"] < 270 and enumerated["fighter"] > 150
+
+
+def test_closed_form_needs_no_enumeration(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated a read-once gate")
+    ref = gates.compound_gate("a")
+    gate = gates.compound_gate("a0 a1 a2 + a3 (a4 + a5 + a6) + a7 a8 + a9 a10 a11")
+    want = effort.derive_template(gate, ref)
+    monkeypatch.setattr(effort, "_resistance", refuse)
+    assert effort.derive_template(gate, ref) == want
+    assert len(want.g_fall) == 12
+    repeated = CompoundGate(pdn=Parallel((Series((Switch("a"), Switch("b"))), Switch("a"))),
+                            pun=Series((Parallel((Switch("a"), Switch("b"))), Switch("a"))))
+    with pytest.raises(AssertionError, match="enumerated"):
+        effort.derive_template(repeated, ref)
+
+
+def test_opposer_naming_an_input_the_drive_lacks_matches_oracle():
+    # b is always off on the complemented inputs of the conducting patterns,
+    # so c is never read
+    drive = Series((Switch("a"), Switch("b")))
+    args = (drive, Series((Switch("b"), Switch("c"))), 2.0, 1.0)
+    assert effort._pull_resistances(*args) == pull_resistances_oracle(*args) == \
+        ({"a": 2.0, "b": 2.0}, 2.0)
+
+
+def test_worst_deciding_resistance_is_the_worst_bound():
+    rng = random.Random(4011)
+    for _ in range(200):
+        net = _rewidth(rng, random_network(rng, list("abcdefghijkl"), 4, read_once=True))
+        mu, rho = rng.choice([2.0, 3.0]), rng.choice([1.0, 2.0, 2.5])
+        worst, _ = gates.resistance_bounds(net, rho)
+        load = rng.uniform(0.0, 0.9) * mu / worst
+        for oppose, g_eff in ((None, 1.0 / worst),
+                              (effort.PullupLoad(load), 1.0 / worst - load / mu)):
+            per_input, overall = effort._pull_resistances(net, oppose, mu, rho)
+            assert max(per_input.values()) == overall == 1.0 / g_eff
+
+
 def test_duality_matches_oracle():
     rng = random.Random(4009)
     for _ in range(200):
