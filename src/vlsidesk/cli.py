@@ -113,30 +113,6 @@ def _schema(props, required):
     }
 
 
-def _parse(value, schema):
-    """``value`` with every field that ``schema`` types as NUM parsed by
-    ``parse_quantity`` and every integral float in an integer field made an
-    ``int``, nested ones included; ``value`` itself is not changed."""
-    if "$ref" in schema:
-        schema = _DEFS[schema["$ref"].rsplit("/", 1)[1]]
-    if schema == NUM:
-        return parse_quantity(value)
-    if isinstance(value, list):
-        prefix = schema.get("prefixItems", [])
-        return [_parse(v, prefix[i] if i < len(prefix) else schema.get("items", {}))
-                for i, v in enumerate(value)]
-    if isinstance(value, dict):
-        props, extra = schema.get("properties", {}), schema.get("additionalProperties")
-        extra = extra if isinstance(extra, dict) else {}
-        return {k: _parse(v, props.get(k, extra)) for k, v in value.items()}
-    kind = schema.get("type", ())
-    if type(value) in (int, float) and "integer" in ([kind] if isinstance(kind, str) else kind):
-        if abs(value) > sys.float_info.max:
-            raise QuantityError("integer is beyond the floating-point range")
-        return int(value)
-    return value
-
-
 def _pick(params, *keys):
     """The present ``keys`` of ``params``; the library's defaults fill the rest."""
     return {k: params[k] for k in keys if k in params}
@@ -311,17 +287,24 @@ def _run_wire_rc(params):
 
 def _buffer_model(obj):
     if "fixed_delay" in obj:
-        return interconnect.FixedDelay(parse_quantity(obj["fixed_delay"]))
-    return interconnect.RcDriver(
-        r_drive=parse_quantity(obj["r_drive"]),
-        **{k: parse_quantity(obj[k]) for k in ("c_diff_out", "c_gate_in") if k in obj})
+        return interconnect.FixedDelay(obj["fixed_delay"])
+    return interconnect.RcDriver(**obj)
+
+
+_BUFFER = {"oneOf": [
+    {"type": "object", "required": ["fixed_delay"], "properties": {"fixed_delay": NUM},
+     "additionalProperties": False},
+    {"type": "object", "required": ["r_drive"],
+     "properties": {"r_drive": NUM, "c_diff_out": NUM, "c_gate_in": NUM},
+     "additionalProperties": False},
+]}
 
 
 @analysis("buffered_wire_delay",
           {"wire": _schema(_WIRE_PROPS, ["length", "width", "r_sheet"]),
            "n_buffers": {"type": ["integer", "array"]},
-           "buffer": {"type": "object"},
-           "driver": {"type": "object"},
+           "buffer": _BUFFER,
+           "driver": _BUFFER,
            "load_c": NUM, "wire_delay_coeff": NUM},
           ["wire", "n_buffers", "buffer"])
 def _run_buffered(params):
@@ -355,8 +338,8 @@ def _run_slew(params):
 
 def _sized_gate(obj, mu):
     pun = obj["pun"]
-    if isinstance(pun, dict) and "pullup_load" in pun:
-        pun = effort.PullupLoad(parse_quantity(pun["pullup_load"]))
+    if "pullup_load" in pun:
+        pun = effort.PullupLoad(pun["pullup_load"])
     else:
         pun = gates.network_from_json(pun)
     return gates.CompoundGate(pdn=gates.network_from_json(obj["pdn"]), pun=pun,
@@ -380,7 +363,7 @@ def _run_derive_template(params):
     ref = params.get("reference",
                      {"pdn": {"input": "a"}, "pun": {"input": "a", "width": mu}})
     tpl = effort.derive_template(
-        _sized_gate(params, mu), _sized_gate(ref, parse_quantity(ref.get("mu", mu))),
+        _sized_gate(params, mu), _sized_gate(ref, ref.get("mu", mu)),
         **_pick(params, "cd_over_cg"))
     res = {k: dict(sorted(v.items())) if isinstance(v, dict) else v
            for k, v in vars(tpl).items()}
@@ -810,7 +793,7 @@ def load_case(path):
         raise CaseError(f"case file is not valid JSON: {e}") from e
 
 
-# --- compiled schema checks -------------------------------------------------
+# --- compiled schema walks --------------------------------------------------
 
 _TYPES = {  # Draft 2020-12 types as jsonschema tells them apart
     "array": lambda x: isinstance(x, list),
@@ -826,6 +809,27 @@ _KEYWORDS = {"type", "properties", "required", "additionalProperties", "items",
              "$ref", "$defs"}
 
 
+class _Reject(Exception):
+    """A compiled walk met a schema violation; jsonschema words it."""
+
+
+def _accept(x, bad):
+    return x
+
+
+def _refuse(x, bad):
+    raise _Reject
+
+
+def _guard(test):
+    """A step that passes ``x`` on unchanged when ``test(x)`` holds."""
+    def step(x, bad):
+        if test(x):
+            return x
+        raise _Reject
+    return step
+
+
 def _among(values):
     """Membership by jsonschema's equality, under which True and False differ
     from 1 and 0; only scalar values compile."""
@@ -839,69 +843,178 @@ def _either(first, second):
     return lambda x: first(x) or second(x)
 
 
+def _typed(kinds):
+    """The ``type`` step: a quantity (NUM) parses, an integral float in an
+    integer field becomes an ``int``, and any other value passes unchanged."""
+    test = functools.reduce(_either, [_TYPES[t] for t in kinds])
+    if kinds == NUM["type"]:
+        def quantity(x, bad):
+            if type(x) not in (str, float, int) and not test(x):
+                raise _Reject
+            try:
+                return parse_quantity(x)
+            except QuantityError as e:
+                bad.append(e)
+                return x
+        return quantity
+    if "integer" in kinds:
+        def integer(x, bad):
+            if not test(x):
+                raise _Reject
+            if type(x) in (int, float):
+                if abs(x) > sys.float_info.max:
+                    bad.append(QuantityError("integer is beyond the floating-point range"))
+                    return x
+                return int(x)
+            return x
+        return integer
+    return _guard(test)
+
+
+def _object(props, required, extra, typed):
+    """The object keywords; ``typed`` makes them reject what is not an object."""
+    required = frozenset(required)
+
+    def step(x, bad):
+        if not isinstance(x, dict):
+            if typed:
+                raise _Reject
+            return x
+        if not x.keys() >= required:
+            raise _Reject
+        if not props and extra is _accept:  # nothing inside to parse
+            return x
+        return {k: props.get(k, extra)(v, bad) for k, v in x.items()}
+    return step
+
+
+def _array(prefix, rest, lo, hi, typed):
+    """The array keywords; ``typed`` makes them reject what is not an array."""
+    def step(x, bad):
+        if not isinstance(x, list):
+            if typed:
+                raise _Reject
+            return x
+        if not lo <= len(x) <= hi:
+            raise _Reject
+        return [p(v, bad) for p, v in zip(prefix, x)] + [rest(v, bad) for v in x[len(prefix):]]
+    return step
+
+
+def _one_of(branches):
+    """The value of the one accepting branch, with its unparsed quantities."""
+    def step(x, bad):
+        found = None
+        for branch in branches:
+            mine = []
+            try:
+                value = branch(x, mine)
+            except _Reject:
+                continue
+            if found is not None:
+                raise _Reject
+            found = value, mine
+        if found is None:
+            raise _Reject
+        bad.extend(found[1])
+        return found[0]
+    return step
+
+
+def _any_of(branches):
+    """``x`` unchanged when a branch accepts it."""
+    def step(x, bad):
+        for branch in branches:
+            try:
+                branch(x, [])
+            except _Reject:
+                continue
+            return x
+        raise _Reject
+    return step
+
+
 def _compile(schema, root, refs):
-    """A predicate that accepts exactly what jsonschema's Draft 2020-12
-    validator accepts for ``schema``, a part of the document ``root``, whose
+    """The walk of ``schema``, a part of the document ``root`` whose
     ``$defs`` its ``$ref``s name; ``refs`` maps each ``$ref`` met so far to
-    its predicate. A keyword outside _KEYWORDS raises ValueError."""
+    its walk. A keyword outside _KEYWORDS raises ValueError.
+
+    The walk ``f(x, bad)`` accepts exactly what jsonschema's Draft 2020-12
+    validator accepts, and raises _Reject otherwise. It returns ``x`` parsed,
+    on a copy: quantities by ``parse_quantity``, integral floats in integer
+    fields as ``int``, and a ``oneOf`` as its accepting branch parses it. A
+    quantity that does not parse goes on ``bad`` and the walk goes on, so a
+    schema violation later in ``x`` still rejects it. The steps below run in
+    order, each on the value the one before returned, so a later keyword
+    must not test a field an earlier one parses; no schema here does."""
     if isinstance(schema, bool):
-        return lambda x: schema
+        return _accept if schema else _refuse
     unknown = schema.keys() - _KEYWORDS
     if unknown:
         raise ValueError(f"no compiled check for schema keywords {sorted(unknown)}")
     sub = functools.partial(_compile, root=root, refs=refs)
-    checks = []
+    steps = []
+    if "enum" in schema:
+        steps.append(_guard(_among(schema["enum"])))
+    if "const" in schema:
+        steps.append(_guard(_among([schema["const"]])))
+    kinds = schema.get("type", [])
+    kinds = [kinds] if isinstance(kinds, str) else kinds
+    has_object = schema.keys() & {"properties", "required", "additionalProperties"}
+    has_array = schema.keys() & {"prefixItems", "items", "minItems", "maxItems"}
+    if kinds == NUM["type"] and schema.keys() != {"type"}:
+        raise ValueError("a quantity takes no keyword besides its type")
+    if "type" in schema and not (kinds == ["object"] and has_object
+                                 or kinds == ["array"] and has_array):
+        steps.append(_typed(kinds))  # else the object or array step tests the type
     if "$ref" in schema:
         ref = schema["$ref"]
         if ref not in refs:
             refs[ref] = None  # a recursive reference looks its target up when it runs
             refs[ref] = sub(root["$defs"][ref.removeprefix("#/$defs/")])
-        checks.append(lambda x: refs[ref](x))
-    if "type" in schema:
-        kinds = [_TYPES[t] for t in
-                 ([schema["type"]] if isinstance(schema["type"], str) else schema["type"])]
-        checks.append(functools.reduce(_either, kinds))
-    if "enum" in schema:
-        checks.append(_among(schema["enum"]))
-    if "const" in schema:
-        checks.append(_among([schema["const"]]))
-    if schema.keys() & {"properties", "required", "additionalProperties"}:
-        props = {k: sub(v) for k, v in schema.get("properties", {}).items()}
-        required = schema.get("required", [])
-        extra = sub(schema.get("additionalProperties", True))
-        checks.append(lambda x: not isinstance(x, dict) or (
-            all(k in x for k in required)
-            and all(props.get(k, extra)(v) for k, v in x.items())))
-    if schema.keys() & {"prefixItems", "items", "minItems", "maxItems"}:
-        prefix = [sub(s) for s in schema.get("prefixItems", [])]
-        rest = sub(schema.get("items", True))
-        lo, hi = schema.get("minItems", 0), schema.get("maxItems", float("inf"))
-        checks.append(lambda x: not isinstance(x, list) or (
-            lo <= len(x) <= hi
-            and all((prefix[i] if i < len(prefix) else rest)(v) for i, v in enumerate(x))))
+        steps.append(lambda x, bad: refs[ref](x, bad))
+    if has_object:
+        steps.append(_object({k: sub(v) for k, v in schema.get("properties", {}).items()},
+                             schema.get("required", []),
+                             sub(schema.get("additionalProperties", True)),
+                             kinds == ["object"]))
+    if has_array:
+        steps.append(_array([sub(s) for s in schema.get("prefixItems", [])],
+                            sub(schema.get("items", True)),
+                            schema.get("minItems", 0), schema.get("maxItems", float("inf")),
+                            kinds == ["array"]))
     if "oneOf" in schema:
-        one_of = [sub(s) for s in schema["oneOf"]]
-        checks.append(lambda x: sum(check(x) for check in one_of) == 1)
+        steps.append(_one_of([sub(s) for s in schema["oneOf"]]))
     if "anyOf" in schema:
-        any_of = [sub(s) for s in schema["anyOf"]]
-        checks.append(lambda x: any(check(x) for check in any_of))
-    return checks[0] if len(checks) == 1 else lambda x: all(check(x) for check in checks)
+        steps.append(_any_of([sub(s) for s in schema["anyOf"]]))
+    if len(steps) <= 1:
+        return steps[0] if steps else _accept
+
+    def walk(x, bad):
+        for step in steps:
+            x = step(x, bad)
+        return x
+    return walk
 
 
 @functools.cache
-def _check(name):
-    """The compiled check of one schema: the case envelope (``None``) or an analysis."""
+def _walk(name):
+    """The compiled walk of one schema: the case envelope (``None``) or an analysis."""
     schema = CASE_SCHEMA if name is None else REGISTRY[name]["schema"]
     return _compile(schema, schema, {})
 
 
-def validate_case(case) -> str:
-    """Return the analysis id after full schema validation; raise CaseError
-    naming the first violation otherwise. The compiled checks decide; only a
-    rejected case imports jsonschema, whose first error the message names."""
-    if _check(None)(case) and case["analysis"] in REGISTRY \
-            and _check(case["analysis"])(case["params"]):
-        return case["analysis"]
+def _walk_case(case):
+    """The analysis id, the parsed params and the quantities that did not
+    parse, in document order, of a case the schemas accept. Only a rejected
+    case imports jsonschema, whose first error the CaseError names."""
+    bad = []
+    try:
+        _walk(None)(case, bad)
+        if case["analysis"] in REGISTRY:
+            return case["analysis"], _walk(case["analysis"])(case["params"], bad), bad
+    except _Reject:
+        pass
     import jsonschema
     e = jsonschema.exceptions.best_match(
         jsonschema.Draft202012Validator(CASE_SCHEMA).iter_errors(case))
@@ -921,11 +1034,20 @@ def validate_case(case) -> str:
                          "jsonschema accepts")
 
 
+def validate_case(case) -> str:
+    """Return the analysis id after full schema validation; raise CaseError
+    naming the first violation otherwise. Quantities are not parsed here."""
+    return _walk_case(case)[0]
+
+
 def run_case(case) -> dict:
     """Validate and execute one case, returning the report dict. Adapters get
-    every NUM field as a float; the report echoes the params as given."""
-    name = validate_case(case)
-    params = _parse(case["params"], REGISTRY[name]["schema"])
+    every NUM field as a float; the report echoes the params as given. Once
+    the schemas accept the case, the first quantity in document order that
+    does not parse raises QuantityError."""
+    name, params, bad = _walk_case(case)
+    if bad:
+        raise bad[0]
     try:
         results, diagnostics = REGISTRY[name]["run"](params)
     except KeyError as e:
@@ -950,8 +1072,43 @@ def _format_tree(x):
     return x
 
 
+_STRING = json.encoder.encode_basestring_ascii
+
+
+def _number(x):
+    x = format_number(x)
+    return _STRING(x) if isinstance(x, str) else repr(x)
+
+
+_SCALARS = {str: _STRING, float: _number, int: int.__repr__,
+            bool: lambda x: "true" if x else "false", type(None): lambda x: "null"}
+
+
+def _json(x, pad):
+    """``json.dumps(_format_tree(x), indent=2)`` for ``x`` on a line that
+    starts with ``pad``, a newline and indent. A scalar inside a container
+    is converted without a recursive call."""
+    scalar = _SCALARS.get(type(x))
+    if scalar is not None:
+        return scalar(x)
+    inner = pad + "  "
+    if isinstance(x, dict):
+        brackets = "{}"
+        items = [f"{_STRING(k if isinstance(k, str) else json.dumps(k))}: "
+                 f"{s(v) if (s := _SCALARS.get(type(v))) else _json(v, inner)}"
+                 for k, v in x.items()]
+    elif isinstance(x, (list, tuple)):
+        brackets = "[]"
+        items = [s(v) if (s := _SCALARS.get(type(v))) else _json(v, inner) for v in x]
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
 def render_json(report) -> str:
-    return json.dumps(_format_tree(report), indent=2) + "\n"
+    return _json(report, "\n") + "\n"
 
 
 def render_table(report) -> str:

@@ -19,6 +19,7 @@ from .gates import (
     Switch,
     _read_once_resistances,
     _resistance,
+    _switches,
     network_inputs,
     network_table,
 )
@@ -161,6 +162,7 @@ def derive_template(gate: CompoundGate, reference: CompoundGate,
     node, weighted by ``cd_over_cg``.
     """
     mu = gate.mu
+    _check_networks(gate, reference)
     fall_r, fall_worst = _pull_resistances(gate.pdn, gate.pun, mu, 1.0)
     if isinstance(gate.pun, PullupLoad):
         r_up = mu / gate.pun.width
@@ -195,12 +197,41 @@ def derive_template(gate: CompoundGate, reference: CompoundGate,
     for x in caps:  # inputs that never decide a transition inherit the worst case
         g_rise.setdefault(x, rise_worst * caps[x] / norm if rise_worst else float("nan"))
         g_fall.setdefault(x, fall_worst * caps[x] / norm if fall_worst else float("nan"))
-    return GateTemplate(
+    tpl = GateTemplate(
         name=name, g_rise=g_rise, g_fall=g_fall,
         p_rise=rise_worst * c_par * cd_over_cg / norm,
         p_fall=fall_worst * c_par * cd_over_cg / norm,
         c_in=caps,
     )
+    if not all(map(math.isfinite, [*g_rise.values(), *g_fall.values(), tpl.p_rise,
+                                   tpl.p_fall])):
+        raise DomainError(f"the template is not finite: g_rise {g_rise}, g_fall {g_fall}, "
+                          f"p_rise {tpl.p_rise:g}, p_fall {tpl.p_fall:g}")
+    return tpl
+
+
+def _check_networks(gate, reference):
+    """InputError when a pull-down and its pull-up network switch different
+    inputs; DomainError when a drive resistance (rho / width of a switch or
+    of a pull-up load) is not positive and finite, as no transition
+    completes through it."""
+    for who, g in (("gate", gate), ("reference", reference)):
+        if not isinstance(g.pun, PullupLoad):
+            down, up = set(network_inputs(g.pdn)), set(network_inputs(g.pun))
+            if down != up:
+                raise InputError(
+                    f"the {who}'s pull-down and pull-up networks switch different inputs: "
+                    f"only the pull-down switches {sorted(down - up)}, "
+                    f"only the pull-up {sorted(up - down)}")
+    for net, network, rho in (("pull-down", gate.pdn, 1.0), ("pull-up", gate.pun, gate.mu),
+                              ("reference pull-down", reference.pdn, 1.0)):
+        for part in [network] if isinstance(network, PullupLoad) else _switches(network):
+            if not (part.width > 0 and 0.0 < rho / part.width < math.inf):
+                what = "its load" if isinstance(part, PullupLoad) else f"switch {part.name!r}"
+                raise DomainError(
+                    f"the {net} network completes no transition through {what}: its "
+                    f"resistance rho / width = {rho:g} / {part.width:g} is not positive "
+                    "and finite")
 
 
 def nand_nor_effort(n: int, mu: float) -> dict:

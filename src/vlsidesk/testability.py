@@ -85,27 +85,53 @@ def lfsr_build(poly: GfPolynomial) -> Lfsr:
 
 def lfsr_run(lfsr: Lfsr, seed: int, steps: int) -> dict:
     """State sequence from ``seed`` plus its period (first recurrence of
-    the seed, searched up to 2^n steps, for degrees up to LFSR_PERIOD_LIMIT)."""
+    the seed, for degrees up to LFSR_PERIOD_LIMIT)."""
     if steps < 0:
         raise InputError("steps must be >= 0")
-    n, feedback = lfsr.n, lfsr.feedback
+    n = lfsr.n
     if n > LFSR_PERIOD_LIMIT:
         raise SizeError(f"degree {n} exceeds the LFSR period search bound")
-    mask = (1 << n) - 1
-    seed &= mask
+    seed &= (1 << n) - 1
     states = [seed]
     s = seed
     for _ in range(steps):
         s = lfsr.step(s)
         states.append(s)
-    period = None
-    s = seed
-    for i in range(1, (1 << n) + 1):
-        s = ((s << 1) & mask) ^ feedback if s >> (n - 1) else s << 1
+    return {"states": states, "period": _period(lfsr, seed)}
+
+
+def _period(lfsr, seed):
+    """Least k >= 1 with seed * x^k = seed modulo the polynomial, by
+    baby-step giant-step (Shanks 1971) in O(2^(n/2)) time and memory.
+
+    A step multiplies the state by x. c_0 = 1 makes x invertible, so every
+    state lies on a cycle of at most 2^n states. With the m = 2^ceil(n/2)
+    baby states seed * x^j (0 <= j < m) stored, the first giant step i with
+    seed * x^(-i*m) among them, as seed * x^j, gives the period i*m + j: a
+    smaller period would have matched at an earlier i."""
+    n, feedback = lfsr.n, lfsr.feedback
+    mask, top, half = (1 << n) - 1, 1 << (n - 1), (n + 1) // 2
+    m = 1 << half
+    baby, s = {}, seed
+    for j in range(m):
+        baby[s] = j
+        s = ((s << 1) & mask) ^ feedback if s & top else s << 1
         if s == seed:
-            period = i
-            break
-    return {"states": states, "period": period}
+            return j + 1
+    inverse = 1  # x^(-m): m steps backwards from 1
+    for _ in range(m):
+        inverse = ((inverse ^ feedback) >> 1) | top if inverse & 1 else inverse >> 1
+    s = seed
+    for i in range(1, (mask >> half) + 1):
+        a, b, s = s, inverse, 0  # s * x^(-m) by shift-and-xor
+        while b:
+            if b & 1:
+                s ^= a
+            a = ((a << 1) & mask) ^ feedback if a & top else a << 1
+            b >>= 1
+        if s in baby:
+            return i * m + baby[s]
+    return None
 
 
 # Gate functions on bitsets; ``full`` is the all-ones mask of the pattern

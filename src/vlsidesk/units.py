@@ -40,13 +40,11 @@ def parse_quantity(value):
 
 def format_number(x):
     """Format a float with 6 significant digits; integers pass through."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
+    if not isinstance(x, float):
         return x
-    if isinstance(x, int):
-        return x
-    if x != x or x in (float("inf"), float("-inf")):
+    if not math.isfinite(x):
         return str(x)
-    if x == int(x) and abs(x) < 1e15:
+    if x.is_integer() and abs(x) < 1e15:
         # keep exact integral floats readable (192.0 -> 192)
         return int(x)
     return float(f"{x:.6g}")

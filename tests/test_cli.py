@@ -113,8 +113,8 @@ def test_defect_in_an_adapter_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_compiled_check_never_accepts_silently(tmp_path, capsys, monkeypatch):
-    # a compiled check that rejects a case jsonschema accepts is a defect
-    monkeypatch.setattr(cli, "_check", lambda name: lambda x: name is None)
+    # a compiled walk that rejects a case jsonschema accepts is a defect
+    monkeypatch.setattr(cli, "_walk", lambda name: cli._accept if name is None else cli._refuse)
     rc = cli.main(["run", write_case(tmp_path, RING_CASE)])
     cap = capsys.readouterr()
     assert rc == 3 and cap.out == ""
@@ -290,6 +290,20 @@ DEFECT_CASES = [
     ("derive_template", {"pdn": {"input": "a"}, "pun": {"input": 1e-308}}, 1, "invalid_case"),
     ("derive_template", {"pdn": {"input": "a"}, "pun": {"input": "a"},
                          "reference": {"pdn": {"input": "a"}}}, 1, "invalid_case"),
+    ("derive_template", {"pdn": {"parallel": [{"input": "a", "width": "1e-320"},
+                                              {"input": "b"}]},
+                         "pun": {"series": [{"input": "a"}, {"input": "b"}]}},
+     2, "analysis_error"),
+    ("derive_template", {"pdn": {"input": "a"}, "pun": {"input": "a"}, "mu": 1e308},
+     2, "analysis_error"),
+    ("derive_template", {"pdn": {"input": "a"}, "pun": {"input": "b"}}, 2, "analysis_error"),
+    ("derive_template", {"pdn": {"input": "a"}, "pun": {"pullup_load": 0}},
+     2, "analysis_error"),
+    ("buffered_wire_delay", {"wire": {"length": 1, "width": 1, "r_sheet": 1},
+                             "n_buffers": 1, "buffer": {"foo": 1}}, 1, "invalid_case"),
+    ("buffered_wire_delay", {"wire": {"length": 1, "width": 1, "r_sheet": 1},
+                             "n_buffers": 1, "buffer": {"fixed_delay": 1, "r_drive": 1}},
+     1, "invalid_case"),
 ]
 
 

@@ -13,7 +13,7 @@ from vlsidesk.effort import (
     path_delay,
     size_stages,
 )
-from vlsidesk.errors import DomainError
+from vlsidesk.errors import DomainError, InputError
 from vlsidesk.gates import CompoundGate, Parallel, Series, Switch
 
 
@@ -63,6 +63,38 @@ def test_load_stronger_than_the_pull_down_is_a_domain_error():
     gate = CompoundGate(pdn=Switch("a"), pun=PullupLoad(100.0), mu=2.0)
     with pytest.raises(DomainError, match="^the pull-down network completes no transition"):
         derive_template(gate, inverter())
+
+
+def test_pull_networks_switching_different_inputs_are_an_input_error():
+    gate = CompoundGate(pdn=Switch("a"), pun=Switch("b", 2.0), mu=2.0)
+    with pytest.raises(InputError, match=r"^the gate's pull-down and pull-up networks switch "
+                       r"different inputs: only the pull-down switches \['a'\], only the "
+                       r"pull-up \['b'\]$"):
+        derive_template(gate, inverter())
+    ref = CompoundGate(pdn=Series((Switch("a"), Switch("c"))),
+                       pun=Series((Switch("a"), Switch("b"))), mu=2.0)
+    with pytest.raises(InputError, match=r"^the reference's .* only the pull-down switches "
+                       r"\['c'\], only the pull-up \['b'\]$"):
+        derive_template(inverter(), ref)
+    loaded = CompoundGate(pdn=Series((Switch("a"), Switch("b"))), pun=PullupLoad(0.5), mu=2.0)
+    assert derive_template(loaded, inverter()).g_rise.keys() == {"a", "b"}
+
+
+@pytest.mark.parametrize("gate,message", [
+    (CompoundGate(pdn=Parallel((Switch("a", 1e-320), Switch("b"))),
+                  pun=Series((Switch("a", 2.0), Switch("b", 2.0))), mu=2.0),
+     "the pull-down network completes no transition through switch 'a'"),
+    (CompoundGate(pdn=Switch("a"), pun=Switch("a", 2.0), mu=-2.0),
+     "the pull-up network completes no transition through switch 'a'"),
+    (CompoundGate(pdn=Switch("a"), pun=PullupLoad(0.0), mu=2.0),
+     "the pull-up network completes no transition through its load: its resistance "
+     "rho / width = 2 / 0 is not positive and finite"),
+    (CompoundGate(pdn=Switch("a"), pun=Switch("a"), mu=1e308),
+     "the template is not finite"),
+], ids=["parallel-1e-320", "negative-mu", "zero-load", "mu-1e308"])
+def test_resistance_or_template_out_of_range_is_a_domain_error(gate, message):
+    with pytest.raises(DomainError, match=f"^{message}"):
+        derive_template(gate, inverter(mu=1e308 if gate.mu == 1e308 else 2.0))
 
 
 def nand2(mu=2.0):

@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 
 import pytest
 
@@ -115,6 +117,50 @@ def test_primitive_visits_all_nonzero_states():
         run = lfsr_run(lfsr, 1, 2 ** n - 2)
         assert sorted(run["states"]) == sorted(set(run["states"]))
         assert set(run["states"]) == set(range(1, 2 ** n))
+
+
+def period_loop(lfsr, seed):
+    """Period by stepping until the seed recurs, up to 2^n steps (the search
+    ``lfsr_run`` made before baby-step giant-step; oracle)."""
+    n, feedback = lfsr.n, lfsr.feedback
+    mask = (1 << n) - 1
+    seed &= mask
+    s = seed
+    for i in range(1, (1 << n) + 1):
+        s = ((s << 1) & mask) ^ feedback if s >> (n - 1) else s << 1
+        if s == seed:
+            return i
+    return None
+
+
+def lfsr_of(n, middle):
+    """The degree-n LFSR whose middle coefficients c_1..c_(n-1) are the bits of ``middle``."""
+    return lfsr_build(GfPolynomial((1, *((middle >> i) & 1 for i in range(n - 1)), 1)))
+
+
+def test_period_matches_loop_for_every_polynomial_and_seed_to_degree_8():
+    for n in range(1, 9):
+        for middle in range(1 << (n - 1)):
+            lfsr = lfsr_of(n, middle)
+            for seed in range(1 << n):
+                assert lfsr_run(lfsr, seed, 0)["period"] == period_loop(lfsr, seed), \
+                    (n, middle, seed)
+
+
+def test_period_matches_loop_on_seeded_polynomials_of_degree_9_to_18():
+    rng = random.Random(918)
+    for _ in range(300):
+        n = rng.randint(9, 18)
+        lfsr = lfsr_of(n, rng.getrandbits(n - 1))
+        seed = rng.choice([0, 1, rng.getrandbits(n), rng.getrandbits(n + 3) - 5])
+        assert lfsr_run(lfsr, seed, 0)["period"] == period_loop(lfsr, seed), (lfsr.poly, seed)
+
+
+def test_degree_24_primitive_period_is_fast():
+    lfsr = lfsr_build(GfPolynomial.from_powers([0, 1, 3, 4, 24]))
+    t0 = time.perf_counter()
+    assert lfsr_run(lfsr, 0x5A5A5A, 3)["period"] == 2**24 - 1
+    assert time.perf_counter() - t0 < 1.0
 
 
 NET_SMALL = GateNetlist(
