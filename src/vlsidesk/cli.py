@@ -4,19 +4,17 @@ deterministic JSON (or aligned-text) report.
 
 Exit status: 0 analysis ran (verdicts such as violations live in the
 report), 1 malformed input (bad JSON, schema violation, unknown
-analysis), 2 analysis error (infeasible, solver failure), with a
-machine-readable error object on stderr for both failure kinds.
+analysis, a command line that does not match the usage), 2 analysis
+error (infeasible, solver failure), with a machine-readable error object
+on stderr for both failure kinds.
 """
 
-import argparse
-import dataclasses
 import functools
 import importlib
 import json
 import numbers
 import sys
 
-from . import device
 from .errors import QuantityError, VlsiError
 from .units import format_number, parse_quantity
 
@@ -32,8 +30,8 @@ class _Lazy:
         return getattr(importlib.import_module(self._name), attr)
 
 
-effort, gates, interconnect, memory, power, testability, timing = map(_Lazy, (
-    "effort", "gates", "interconnect", "memory", "power", "testability", "timing"))
+device, effort, gates, interconnect, memory, power, testability, timing = map(_Lazy, (
+    "device", "effort", "gates", "interconnect", "memory", "power", "testability", "timing"))
 
 SCHEMA_VERSION = 1
 
@@ -123,25 +121,52 @@ def _take(res, **units):
     return [(k, res[k], u) for k, u in units.items() if k in res]
 
 
-# schema name -> MosDevice field; the schema drops the trailing "_" of ``lambda_``
-_MOS_FIELDS = {f.name.rstrip("_"): f.name for f in dataclasses.fields(device.MosDevice)}
-_DEVICE_PROPS = {k: {"enum": ["nmos", "pmos"]} if k == "polarity" else NUM for k in _MOS_FIELDS}
+@functools.cache
+def _mos_fields():
+    """Schema name -> MosDevice field; the schema drops the trailing "_" of ``lambda_``."""
+    import dataclasses  # loaded by device already
+    return {f.name.rstrip("_"): f.name for f in dataclasses.fields(device.MosDevice)}
+
+
+def _device_props(**more):
+    """The MosDevice fields as schema properties, followed by ``more``."""
+    return {**{k: {"enum": ["nmos", "pmos"]} if k == "polarity" else NUM
+               for k in _mos_fields()}, **more}
 
 
 def _mos_device(params):
     """Split ``params`` into a MosDevice and the params that are not device
     fields (schema ``lambda`` and ``wl`` are the fields ``lambda_`` and ``w``)."""
-    fields = {**_MOS_FIELDS, "wl": "w"}
+    fields = {**_mos_fields(), "wl": "w"}
     dev = device.MosDevice(**{fields[k]: v for k, v in params.items() if k in fields})
     return dev, {k: v for k, v in params.items() if k not in fields}
+
+
+class _Entry(dict):
+    """A REGISTRY entry, ``{"schema": ..., "run": ...}``, whose schema
+    ``build`` makes on its first read."""
+
+    def __init__(self, build, run):
+        super().__init__(run=run)
+        self.build = build
+
+    def __missing__(self, key):
+        if key != "schema":
+            raise KeyError(key)
+        return self.setdefault(key, self.build())  # of threads that race, one wins
 
 
 REGISTRY = {}
 
 
 def analysis(name, props, required):
+    """Register the decorated adapter as ``name``. ``props`` are the schema's
+    properties, or a function that returns them when they are read off
+    ``device``. A schema is built when first read, so only the cases that
+    use ``device`` load it."""
     def wrap(fn):
-        REGISTRY[name] = {"schema": _schema(props, required), "run": fn}
+        REGISTRY[name] = _Entry(
+            lambda: _schema(props() if callable(props) else props, required), fn)
         return fn
     return wrap
 
@@ -149,14 +174,14 @@ def analysis(name, props, required):
 # --- device ----------------------------------------------------------------
 
 @analysis("threshold_voltage",
-          {**_DEVICE_PROPS, "v_sb": NUM}, ["vt0", "v_sb"])
+          lambda: _device_props(v_sb=NUM), ["vt0", "v_sb"])
 def _run_threshold(params):
     dev, rest = _mos_device(params)
     return [("v_t", device.threshold_voltage(dev, **rest), "V")], []
 
 
 @analysis("bias_point",
-          {**_DEVICE_PROPS, "v_gs": NUM, "v_ds": NUM, "v_sb": NUM},
+          lambda: _device_props(v_gs=NUM, v_ds=NUM, v_sb=NUM),
           ["k_prime", "vt0", "w", "l", "v_gs", "v_ds"])
 def _run_bias(params):
     dev, rest = _mos_device(params)
@@ -164,8 +189,8 @@ def _run_bias(params):
 
 
 @analysis("mos_capacitances",
-          {**_DEVICE_PROPS, "region": {"enum": ["cutoff", "linear", "saturation"]},
-           "v_reverse": NUM},
+          lambda: _device_props(region={"enum": ["cutoff", "linear", "saturation"]},
+                                v_reverse=NUM),
           ["w", "l", "region"])
 def _run_caps(params):
     dev, rest = _mos_device(params)
@@ -183,10 +208,10 @@ def _run_scale(params):
 
 
 @analysis("inverter_vtc",
-          {"config": {"enum": list(device.INVERTER_ELEMENTS)},
-           "v_dd": NUM, "k_n": NUM, "vt_n": NUM, "k_p": NUM, "vt_p": NUM,
-           "k_driver": NUM, "vt_driver": NUM, "k_load": NUM, "vt_load": NUM,
-           "r_load": NUM},
+          lambda: {"config": {"enum": list(device.INVERTER_ELEMENTS)},
+                   "v_dd": NUM, "k_n": NUM, "vt_n": NUM, "k_p": NUM, "vt_p": NUM,
+                   "k_driver": NUM, "vt_driver": NUM, "k_load": NUM, "vt_load": NUM,
+                   "r_load": NUM},
           ["config", "v_dd"])
 def _run_vtc(params):
     res = device.inverter_vtc(**params)
@@ -324,9 +349,9 @@ def _run_chain(params):
 
 
 @analysis("output_slew",
-          {**_DEVICE_PROPS, "c_load": NUM, "v_dd": NUM, "v_from_pct": NUM,
-           "v_to_pct": NUM, "method": {"enum": ["acc", "diff", "avg_current"]},
-           "i_avg": NUM},
+          lambda: _device_props(c_load=NUM, v_dd=NUM, v_from_pct=NUM, v_to_pct=NUM,
+                                method={"enum": ["acc", "diff", "avg_current"]},
+                                i_avg=NUM),
           ["c_load", "v_dd", "method"])
 def _run_slew(params):
     dev, rest = _mos_device(params)
@@ -1150,25 +1175,62 @@ def main(argv=None) -> int:
                      traceback=traceback.format_exc())
 
 
-def _main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="vlsidesk", description="batch VLSI analysis runner")
-    sub = parser.add_subparsers(dest="command", required=True)
-    p_run = sub.add_parser("run", help="run one case file")
-    p_run.add_argument("case")
-    p_run.add_argument("--format", choices=("json", "table"), default="json")
-    p_val = sub.add_parser("validate", help="schema-check a case file without running")
-    p_val.add_argument("case")
-    sub.add_parser("list", help="list analysis ids and their parameter schemas")
-    args = parser.parse_args(argv)
+_HELP = """usage: vlsidesk run CASE [--format json|table]
+       vlsidesk validate CASE
+       vlsidesk list
 
-    if args.command == "list":
+batch VLSI analysis runner
+
+commands:
+  run       run one case file
+  validate  schema-check a case file without running
+  list      list analysis ids and their parameter schemas
+"""
+
+
+class _UsageError(Exception):
+    """A command line that does not match the usage (exit status 1)."""
+
+
+def _command_line(argv):
+    """The command, case path and report format that ``argv`` names."""
+    command, *rest = argv or [""]
+    if command not in ("run", "validate", "list"):
+        raise _UsageError(f"unknown command {command!r}" if command else "no command given")
+    fmt, operands = "json", []
+    args = iter(rest)
+    for arg in args:
+        option, eq, value = arg.partition("=")
+        if command == "run" and option == "--format":
+            fmt = value if eq else next(args, "")
+            if fmt not in ("json", "table"):
+                raise _UsageError(f"--format takes json or table, not {fmt!r}")
+        elif arg.startswith("-"):
+            raise _UsageError(f"unknown option {arg!r} for {command}")
+        else:
+            operands.append(arg)
+    if len(operands) != (command != "list"):
+        wanted = "no operand" if command == "list" else "one case file"
+        raise _UsageError(f"{command} takes {wanted}, not {len(operands)}")
+    return command, operands[0] if operands else None, fmt
+
+
+def _main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_HELP)
+        return 0
+    try:
+        command, path, fmt = _command_line(argv)
+    except _UsageError as e:
+        return _fail(1, "usage_error", e)
+    if command == "list":
         listing = {name: REGISTRY[name]["schema"] for name in sorted(REGISTRY)}
         sys.stdout.write(json.dumps(listing, indent=2) + "\n")
         return 0
     try:
-        case = load_case(args.case)
-        if args.command == "validate":
+        case = load_case(path)
+        if command == "validate":
             validate_case(case)
             sys.stdout.write("OK\n")
             return 0
@@ -1177,7 +1239,7 @@ def _main(argv=None) -> int:
         return _fail(1, "invalid_case", e)
     except VlsiError as e:
         return _fail(2, "analysis_error", f"{type(e).__name__}: {e}")
-    render = render_json if args.format == "json" else render_table
+    render = render_json if fmt == "json" else render_table
     sys.stdout.write(render(report))
     return 0
 

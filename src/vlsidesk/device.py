@@ -164,6 +164,9 @@ def _junction_caps(dev: MosDevice, v_reverse: float, consts: PhysicalConstants):
     x_j, x_j_sw = dev.x_j * 1e2, dev.x_j_sw * 1e2
 
     def c_area(n_a, phi_exp):
+        if not (n_a > 0 and dev.n_d > 0 and n_a * dev.n_d > consts.n_i**2):
+            raise DomainError(f"dopings n_a={n_a:g} and n_d={dev.n_d:g} cm^-3 give no positive "
+                              f"built-in potential: need n_a * n_d > n_i^2 = {consts.n_i**2:g}")
         phi = consts.kt_over_q * math.log(n_a * dev.n_d / consts.n_i**2)
         cj0 = math.sqrt(consts.eps_si * consts.q / 2.0
                         * (n_a * dev.n_d / (n_a + dev.n_d)) / phi)
@@ -201,11 +204,14 @@ def mos_capacitances(dev: MosDevice, region: str, v_reverse: float = 0.0,
     else:
         c_gb, c_gs, c_gd = 0.0, (2.0 / 3.0) * c_channel + c_ov, c_ov
     c_bottom, c_sidewall = _junction_caps(dev, v_reverse, consts)
-    return CapReport(
+    caps = CapReport(
         c_gb=c_gb, c_gs=c_gs, c_gd=c_gd, c_ox_total=c_gb + c_gs + c_gd,
         c_overlap=c_ov, c_bottom=c_bottom, c_sidewall=c_sidewall,
         c_junction_total=c_bottom + c_sidewall,
     )
+    if not all(map(math.isfinite, vars(caps).values())):
+        raise DomainError(f"capacitances are not finite: {vars(caps)}")
+    return caps
 
 
 QUANTITIES = ("V", "I", "C", "R", "R_sheet", "delay", "P", "E", "power_density")
@@ -241,17 +247,22 @@ def scale_factors(mode: str, s: float = 1.0, m: float = None) -> ScalingFactors:
         raise InputError(f"unknown scaling mode {mode!r}")
     if s < 1 or sd < 1:
         raise InputError("scaling divisors must be >= 1")
-    factors = {
-        "V": 1.0 / sv,
-        "I": sd / sv**2,
-        "C": 1.0 / sd,
-        "R": sv / sd,
-        "R_sheet": sv / sd,
-        "delay": sv / sd**2,
-        "P": sd / sv**3,
-        "E": 1.0 / (sd * sv**2),
-        "power_density": sd**3 / sv**3,
-    }
+    try:
+        factors = {
+            "V": 1.0 / sv,
+            "I": sd / sv**2,
+            "C": 1.0 / sd,
+            "R": sv / sd,
+            "R_sheet": sv / sd,
+            "delay": sv / sd**2,
+            "P": sd / sv**3,
+            "E": 1.0 / (sd * sv**2),
+            "power_density": sd**3 / sv**3,
+        }
+    except OverflowError as e:
+        raise DomainError(f"scaling factors for s={s:g}, m={sd:g} overflow") from e
+    if not all(map(math.isfinite, factors.values())):
+        raise DomainError(f"scaling factors for s={s:g}, m={sd:g} are not finite: {factors}")
     return ScalingFactors(mode=mode, s=sv, m=sd, factors=factors)
 
 

@@ -213,8 +213,8 @@ def derive_template(gate: CompoundGate, reference: CompoundGate,
 def _check_networks(gate, reference):
     """InputError when a pull-down and its pull-up network switch different
     inputs; DomainError when a drive resistance (rho / width of a switch or
-    of a pull-up load) is not positive and finite, as no transition
-    completes through it."""
+    of a pull-up load) is not positive and finite, or its conductance is not
+    finite, as no transition completes through it."""
     for who, g in (("gate", gate), ("reference", reference)):
         if not isinstance(g.pun, PullupLoad):
             down, up = set(network_inputs(g.pdn)), set(network_inputs(g.pun))
@@ -226,12 +226,13 @@ def _check_networks(gate, reference):
     for net, network, rho in (("pull-down", gate.pdn, 1.0), ("pull-up", gate.pun, gate.mu),
                               ("reference pull-down", reference.pdn, 1.0)):
         for part in [network] if isinstance(network, PullupLoad) else _switches(network):
-            if not (part.width > 0 and 0.0 < rho / part.width < math.inf):
+            if not (part.width > 0 and 0.0 < rho / part.width < math.inf
+                    and part.width / rho < math.inf):
                 what = "its load" if isinstance(part, PullupLoad) else f"switch {part.name!r}"
                 raise DomainError(
                     f"the {net} network completes no transition through {what}: its "
                     f"resistance rho / width = {rho:g} / {part.width:g} is not positive "
-                    "and finite")
+                    "and finite with a finite inverse")
 
 
 def nand_nor_effort(n: int, mu: float) -> dict:

@@ -11,6 +11,7 @@ from . import boolexpr
 from .errors import DomainError, InputError, SizeError
 
 ENUMERATION_LIMIT = 24
+GRAY_CYCLE_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -167,6 +168,8 @@ def bus_split(n_modules: int, m_buses: int, locality: float = 0.8) -> dict:
     near, far = locality, 1.0 - locality
     saving = 1.0 - (near + 2.0 * far) / m_buses - far * m_buses / n_modules
     m_opt = math.sqrt(n_modules * (near + 2.0 * far) / far) if far else float(n_modules)
+    if not math.isfinite(m_opt):
+        raise DomainError("the optimal bus count is not a finite number")
 
     def saving_at(m):
         return 1.0 - (near + 2.0 * far) / m - far * m / n_modules
@@ -181,14 +184,17 @@ def bus_split(n_modules: int, m_buses: int, locality: float = 0.8) -> dict:
 
 def gray_code(n_bits: int, sequence=None) -> dict:
     """Gray encoding b ^ (b >> 1) and the binary-vs-gray transition counts
-    along a value sequence (full counting cycle by default)."""
+    along a value sequence (full counting cycle by default, up to
+    GRAY_CYCLE_LIMIT bits)."""
     if n_bits < 1:
         raise InputError("need at least one bit")
-    top = 1 << n_bits
     if sequence is None:
-        sequence = list(range(top))
+        if n_bits > GRAY_CYCLE_LIMIT:
+            raise SizeError(f"a full {n_bits}-bit cycle exceeds the gray-code cycle "
+                            f"bound of {GRAY_CYCLE_LIMIT} bits")
+        sequence = range(1 << n_bits)
     for v in sequence:
-        if not 0 <= v < top:
+        if v < 0 or v >> n_bits:
             raise InputError(f"value {v} out of range for {n_bits} bits")
 
     def gray(b):

@@ -8,7 +8,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InfeasibleError, InputError
+from .errors import InfeasibleError, InputError, SizeError
+
+LATCH_STAGE_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -273,6 +275,8 @@ def latch_constraints(p: LatchPipeline) -> dict:
     close(L_j) - open(L_{i-1}) cycles.
     """
     n, duty = p.n_stages, p.duty
+    if n > LATCH_STAGE_LIMIT:  # n^2 / 2 inequalities of up to n terms each
+        raise SizeError(f"n_stages exceeds the latch constraint bound of {LATCH_STAGE_LIMIT}")
     constraints = []
     t_min = 0.0
     for i in range(1, n + 1):

@@ -52,6 +52,44 @@ def test_table_format(tmp_path, capsys):
     assert "duty" in out and "0.52" in out
 
 
+def test_format_option_forms(tmp_path, capsys):
+    path = write_case(tmp_path, RING_CASE)
+    outs = []
+    for argv in (["run", path, "--format", "table"], ["run", "--format=table", path],
+                 ["run", "--format", "table", path]):
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0].startswith("analysis: ring_analyze") and len(set(outs)) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["warp"], ["run"], ["run", "a.json", "b.json"], ["validate"], ["list", "x"],
+    ["run", "a.json", "--format"], ["run", "a.json", "--format", "yaml"],
+    ["run", "a.json", "--formats=json"], ["validate", "a.json", "--format", "json"],
+])
+def test_malformed_command_line_exits_1_with_json_error(capsys, argv):
+    assert cli.main(argv) == 1
+    cap = capsys.readouterr()
+    err = json.loads(cap.err)["error"]
+    assert cap.out == "" and err["code"] == "usage_error" and err["message"]
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["run", "x.json", "--help"]])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    assert cli.main(argv) == 0
+    cap = capsys.readouterr()
+    assert cap.out.startswith("usage: vlsidesk run CASE") and cap.err == ""
+
+
+def test_registry_entries_keep_their_shape():
+    for name, entry in cli.REGISTRY.items():
+        assert entry["schema"]["type"] == "object" and callable(entry["run"])
+    props = cli.REGISTRY["output_slew"]["schema"]["properties"]
+    assert list(props)[:3] == ["polarity", "k_prime", "vt0"] and "lambda" in props
+    assert cli.REGISTRY["inverter_vtc"]["schema"]["properties"]["config"]["enum"] == [
+        "cmos", "depletion_load", "resistive_load", "pseudo_nmos"]
+
+
 def test_unknown_analysis_exits_1(tmp_path, capsys):
     doc = {"schema": 1, "analysis": "warp_drive", "params": {}}
     rc = cli.main(["run", write_case(tmp_path, doc)])
@@ -304,6 +342,14 @@ DEFECT_CASES = [
     ("buffered_wire_delay", {"wire": {"length": 1, "width": 1, "r_sheet": 1},
                              "n_buffers": 1, "buffer": {"fixed_delay": 1, "r_drive": 1}},
      1, "invalid_case"),
+    ("derive_template", {"pdn": {"input": "a"}, "pun": {"input": "a"}, "mu": 1e-320},
+     2, "analysis_error"),
+    ("latch_constraints", {"n_stages": 1e308, "duty": 0.4}, 2, "analysis_error"),
+    ("gray_code", {"n_bits": 65}, 2, "analysis_error"),
+    ("scale_factors", {"mode": "general", "s": "1e300", "m": 4}, 2, "analysis_error"),
+    ("bus_split", {"n_modules": 1e308, "m_buses": 12}, 2, "analysis_error"),
+    ("mos_capacitances", {"w": 1, "l": 1, "region": "cutoff", "c_ox": "1m", "n_d": 1.5,
+                          "n_a_sub": 1e16, "y": "1u"}, 2, "analysis_error"),
 ]
 
 

@@ -132,6 +132,20 @@ def test_general_scaling_factors():
     assert sf.factors["power_density"] == pytest.approx(8.0)
 
 
+def test_overflowing_scaling_factors_are_a_domain_error():
+    with pytest.raises(DomainError, match="overflow"):
+        scale_factors("general", s=1e300, m=4)
+
+
+def test_junction_dopings_below_n_i_squared_are_a_domain_error():
+    dev = MosDevice(w=1e-6, l=1e-6, c_ox=1e-3, n_d=1.5, n_a_sub=1e16, y=1e-6)
+    with pytest.raises(DomainError, match="built-in potential"):
+        device.mos_capacitances(dev, "cutoff")
+    dev = MosDevice(w=1e-6, l=1e-6, c_ox=1e-3, n_d=1e308, n_a_sub=1e308, y=1e-6)
+    with pytest.raises(DomainError, match="capacitances are not finite"):
+        device.mos_capacitances(dev, "cutoff")
+
+
 def test_constant_voltage_sheet_resistance():
     sf = scale_factors("constant_voltage", s=2)
     assert sf.factors["R_sheet"] == pytest.approx(0.5)

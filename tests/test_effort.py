@@ -91,7 +91,10 @@ def test_pull_networks_switching_different_inputs_are_an_input_error():
      "rho / width = 2 / 0 is not positive and finite"),
     (CompoundGate(pdn=Switch("a"), pun=Switch("a"), mu=1e308),
      "the template is not finite"),
-], ids=["parallel-1e-320", "negative-mu", "zero-load", "mu-1e308"])
+    (CompoundGate(pdn=Switch("a"), pun=Switch("a"), mu=1e-320),
+     "the pull-up network completes no transition through switch 'a': its resistance "
+     "rho / width = 9.99989e-321 / 1 is not positive and finite with a finite inverse"),
+], ids=["parallel-1e-320", "negative-mu", "zero-load", "mu-1e308", "subnormal-mu"])
 def test_resistance_or_template_out_of_range_is_a_domain_error(gate, message):
     with pytest.raises(DomainError, match=f"^{message}"):
         derive_template(gate, inverter(mu=1e308 if gate.mu == 1e308 else 2.0))

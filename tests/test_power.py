@@ -6,6 +6,7 @@ import pytest
 from vlsidesk.boolexpr import And, Not, Or, Var, Xor
 from vlsidesk.errors import DomainError, InputError, SizeError
 from vlsidesk.power import (
+    GRAY_CYCLE_LIMIT,
     LoadPoint,
     PowerEnv,
     adiabatic_energy,
@@ -283,6 +284,24 @@ def test_bus_split_degenerate_single_bus():
     res = bus_split(10, 1)
     assert res["saving_percent"] == pytest.approx(
         (1 - (1.2 / 1 + 0.2 / 10)) * 100)
+
+
+def test_bus_split_overflowing_optimum_is_a_domain_error():
+    with pytest.raises(DomainError, match="optimal bus count"):
+        bus_split(int(1e308), 12)
+
+
+@pytest.mark.parametrize("n_bits", [GRAY_CYCLE_LIMIT + 1, 65])
+def test_gray_full_cycle_beyond_the_bound_is_a_size_error(n_bits):
+    with pytest.raises(SizeError, match="gray-code cycle bound"):
+        gray_code(n_bits)
+
+
+def test_gray_code_checks_a_given_sequence_without_the_bound():
+    assert gray_code(65, [0, 2**64, 2**65 - 1])["codes"] == [0, 2**64 + 2**63, 2**64]
+    assert gray_code(int(1e308), [3])["codes"] == [2]
+    with pytest.raises(InputError, match="out of range for 65 bits"):
+        gray_code(65, [2**65])
 
 
 def test_gray_code_full_count():

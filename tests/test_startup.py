@@ -1,5 +1,6 @@
 """Start-up of the CLI, each check in a fresh interpreter: a valid case never
-imports jsonschema, and only the analysis module a case uses is loaded."""
+imports jsonschema or argparse, and only the analysis modules a case uses
+are loaded, ``vlsidesk.device`` among them."""
 
 import json
 import os
@@ -14,7 +15,7 @@ from vlsidesk import cli
 from conftest import CASES_DIR, load_case
 
 SRC = pathlib.Path(cli.__file__).resolve().parent.parent
-ALWAYS = {"vlsidesk", "vlsidesk.cli", "vlsidesk.device", "vlsidesk.errors", "vlsidesk.units"}
+ALWAYS = {"vlsidesk", "vlsidesk.cli", "vlsidesk.errors", "vlsidesk.units"}
 
 
 def fresh_python(code, *args, stdin=None):
@@ -30,23 +31,47 @@ from vlsidesk import cli
 code = cli.main(["run", sys.argv[1]])
 sys.stdout.flush()
 sys.stderr.write(json.dumps({"exit": code, "jsonschema": "jsonschema" in sys.modules,
+                             "argparse": "argparse" in sys.modules,
                              "vlsidesk": sorted(m for m in sys.modules
                                                 if m.startswith("vlsidesk"))}))
 """
 
 
 @pytest.mark.parametrize("case,modules", [
-    ("device_general_scaling", set()),
+    ("device_general_scaling", {"vlsidesk.device"}),
     ("timing_ring_design", {"vlsidesk.timing"}),
-    ("interconnect_wire_rc_m1", {"vlsidesk.interconnect"}),
+    ("interconnect_wire_rc_m1", {"vlsidesk.interconnect", "vlsidesk.device"}),
     ("test_atpg_smallest_vector", {"vlsidesk.testability", "vlsidesk.boolexpr"}),
     ("effort_nand_path_f64", {"vlsidesk.effort", "vlsidesk.gates", "vlsidesk.boolexpr"}),
+    ("device_pass_gate_caps", {"vlsidesk.device"}),
+    ("interconnect_slew_acc", {"vlsidesk.interconnect", "vlsidesk.device"}),
 ])
 def test_valid_run_loads_only_its_analysis_and_no_jsonschema(case, modules):
     proc = fresh_python(LOADED, str(CASES_DIR / f"{case}.json"))
     seen = json.loads(proc.stderr)
-    assert seen == {"exit": 0, "jsonschema": False, "vlsidesk": sorted(ALWAYS | modules)}
+    assert seen == {"exit": 0, "jsonschema": False, "argparse": False,
+                    "vlsidesk": sorted(ALWAYS | modules)}
     assert proc.stdout == cli.render_json(cli.run_case(load_case(case)))
+
+
+RUN_ALL = """
+import json, sys
+from vlsidesk import cli
+codes = [cli.main(["run", path]) for path in sys.argv[1:]]
+sys.stdout.flush()
+sys.stderr.write(json.dumps({"exits": sorted(set(codes)),
+                             "loaded": sorted(m for m in ("argparse", "vlsidesk.device")
+                                              if m in sys.modules)}))
+"""
+
+
+def test_cases_outside_device_interconnect_and_memory_never_load_device():
+    # timing, power, gates, effort and testability import no device model
+    paths = sorted(str(p) for p in CASES_DIR.glob("*.json")
+                   if p.name.split("_")[0] in ("timing", "power", "gates", "effort", "test"))
+    assert len(paths) == 53
+    proc = fresh_python(RUN_ALL, *paths)
+    assert json.loads(proc.stderr) == {"exits": [0], "loaded": []}
 
 
 def test_import_vlsidesk_loads_no_analysis_module():
@@ -90,10 +115,12 @@ print(json.dumps({"alive": any(t.is_alive() for t in threads), "out": out}))
 
 def test_concurrent_first_use_of_different_analyses():
     # pairs of analyses in one module; effort, testability and power all
-    # import boolexpr on first use
+    # import boolexpr on first use, and the device and interconnect cases
+    # both build a schema read off vlsidesk.device on first use
     names = ["effort_template_nand_reference", "effort_nand_path_f64",
              "test_atpg_smallest_vector", "test_lfsr_primitive",
-             "power_signal_prob_sop", "power_gray_code"]
+             "power_signal_prob_sop", "power_gray_code",
+             "device_pass_gate_caps", "interconnect_slew_acc"]
     cases = [load_case(n) for n in names]
     want = [cli.render_json(cli.run_case(c)) for c in cases]
     for _ in range(3):

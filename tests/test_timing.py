@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from vlsidesk.errors import InfeasibleError, InputError
+from vlsidesk.errors import InfeasibleError, InputError, SizeError
 from vlsidesk.timing import (
+    LATCH_STAGE_LIMIT,
     LatchPipeline,
     RegEdge,
     RingSpec,
@@ -273,6 +274,14 @@ def test_latch_constraint_strings_four_stage():
         "D4 + Dcq <= T - Ddc - Tskew",
     ]
     assert len(texts) == 10
+
+
+@pytest.mark.parametrize("n_stages", [LATCH_STAGE_LIMIT + 1, int(1e308)])
+def test_latch_stages_beyond_the_bound_are_a_size_error(n_stages):
+    t0 = time.perf_counter()
+    with pytest.raises(SizeError, match="latch constraint bound"):
+        latch_constraints(LatchPipeline(n_stages=n_stages, duty=Fraction(2, 5)))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_latch_single_stage_window():
