@@ -13,8 +13,8 @@ the bitwise operators on those bitsets evaluate every pattern together.
 
 import functools
 import operator
-from dataclasses import dataclass
 
+from . import Record
 from .errors import InputError, StructureError
 
 
@@ -40,9 +40,11 @@ class Expr:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class Var(Expr):
-    name: str
+class Var(Expr, Record):
+    _fields = ("name",)
+
+    def __init__(self, name):
+        self.__dict__["name"] = name
 
     def evaluate(self, env):
         if self.name not in env:
@@ -50,17 +52,21 @@ class Var(Expr):
         return bool(env[self.name])
 
 
-@dataclass(frozen=True)
-class Const(Expr):
-    value: bool
+class Const(Expr, Record):
+    _fields = ("value",)
+
+    def __init__(self, value):
+        self.__dict__["value"] = value
 
     def evaluate(self, env):
         return self.value
 
 
-@dataclass(frozen=True)
-class Not(Expr):
-    arg: Expr
+class Not(Expr, Record):
+    _fields = ("arg",)
+
+    def __init__(self, arg):
+        self.__dict__["arg"] = arg
 
     def evaluate(self, env):
         return not self.arg.evaluate(env)
@@ -99,10 +105,11 @@ class Or(_Nary):
         return any(a.evaluate(env) for a in self.args)
 
 
-@dataclass(frozen=True)
-class Xor(Expr):
-    a: Expr
-    b: Expr
+class Xor(Expr, Record):
+    _fields = ("a", "b")
+
+    def __init__(self, a, b):
+        self.__dict__.update(a=a, b=b)
 
     def evaluate(self, env):
         return self.a.evaluate(env) != self.b.evaluate(env)

@@ -124,8 +124,7 @@ def _take(res, **units):
 @functools.cache
 def _mos_fields():
     """Schema name -> MosDevice field; the schema drops the trailing "_" of ``lambda_``."""
-    import dataclasses  # loaded by device already
-    return {f.name.rstrip("_"): f.name for f in dataclasses.fields(device.MosDevice)}
+    return {f.rstrip("_"): f for f in device.MosDevice._fields}
 
 
 def _device_props(**more):

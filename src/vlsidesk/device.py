@@ -9,23 +9,22 @@ Conventions:
 
 import functools
 import math
-from dataclasses import dataclass, field
 
+from . import Record
 from .errors import DomainError, GeometryError, InputError, SolverError
 
 EPS0 = 8.85e-14  # F/cm
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    n_i: float = 1.45e10        # cm^-3
-    eps_si: float = 11.7 * EPS0  # F/cm
-    eps_ox: float = 3.9 * EPS0   # F/cm
-    kt_over_q: float = 0.026     # V
-    q: float = 1.6e-19           # C
+class PhysicalConstants(Record):
+    """n_i in cm^-3, eps_si and eps_ox in F/cm, kt_over_q in V, q in C."""
+    _fields = ("n_i", "eps_si", "eps_ox", "kt_over_q", "q")
 
-    def __post_init__(self):
-        for name in ("n_i", "eps_si", "eps_ox", "kt_over_q", "q"):
+    def __init__(self, n_i=1.45e10, eps_si=11.7 * EPS0, eps_ox=3.9 * EPS0,
+                 kt_over_q=0.026, q=1.6e-19):
+        self.__dict__.update(n_i=n_i, eps_si=eps_si, eps_ox=eps_ox,
+                             kt_over_q=kt_over_q, q=q)
+        for name in self._fields:
             if getattr(self, name) <= 0:
                 raise InputError(f"constant {name} must be positive")
 
@@ -33,8 +32,7 @@ class PhysicalConstants:
 CONSTANTS = PhysicalConstants()
 
 
-@dataclass(frozen=True)
-class MosDevice:
+class MosDevice(Record):
     """Process and geometry parameters of one transistor.
 
     ``w``/``l`` may be given directly as a ratio (l=1, l_d=0) when only
@@ -42,40 +40,44 @@ class MosDevice:
     to ``x_j``; some processes quote a deeper channel-stop sidewall.
     """
 
-    polarity: str = "nmos"
-    k_prime: float = 1e-4        # A/V^2
-    vt0: float = 0.5             # V, signed
-    gamma: float = 0.0           # V^0.5, signed
-    phi_f2: float = 0.6          # |2*phi_F|, V
-    lambda_: float = 0.0         # 1/V
-    w: float = 1.0
-    l: float = 1.0
-    l_d: float = 0.0
-    t_ox: float = 0.0            # m; 0 if c_ox given directly
-    c_ox: float = 0.0            # F/m^2 override; 0 to derive from t_ox
-    n_d: float = 0.0             # cm^-3 (drain)
-    n_a_sub: float = 0.0         # cm^-3 (substrate)
-    n_a_sw: float = 0.0          # cm^-3 (channel stop)
-    x_j: float = 0.0             # m
-    x_j_sw: float = 0.0          # m; defaults to x_j
-    y: float = 0.0               # m, drain diffusion extent
-    m_j: float = 0.5
-    m_jsw: float = 0.5
+    _fields = ("polarity", "k_prime", "vt0", "gamma", "phi_f2", "lambda_", "w", "l", "l_d",
+               "t_ox", "c_ox", "n_d", "n_a_sub", "n_a_sw", "x_j", "x_j_sw", "y", "m_j",
+               "m_jsw")
 
-    def __post_init__(self):
-        if self.polarity not in ("nmos", "pmos"):
-            raise InputError(f"polarity must be nmos or pmos, not {self.polarity!r}")
-        if self.w <= 0 or self.l <= 0:
+    def __init__(self, polarity="nmos",
+                 k_prime=1e-4,   # A/V^2
+                 vt0=0.5,        # V, signed
+                 gamma=0.0,      # V^0.5, signed
+                 phi_f2=0.6,     # |2*phi_F|, V
+                 lambda_=0.0,    # 1/V
+                 w=1.0, l=1.0, l_d=0.0,
+                 t_ox=0.0,       # m; 0 if c_ox given directly
+                 c_ox=0.0,       # F/m^2 override; 0 to derive from t_ox
+                 n_d=0.0,        # cm^-3 (drain)
+                 n_a_sub=0.0,    # cm^-3 (substrate)
+                 n_a_sw=0.0,     # cm^-3 (channel stop)
+                 x_j=0.0,        # m
+                 x_j_sw=0.0,     # m; defaults to x_j
+                 y=0.0,          # m, drain diffusion extent
+                 m_j=0.5, m_jsw=0.5):
+        if polarity not in ("nmos", "pmos"):
+            raise InputError(f"polarity must be nmos or pmos, not {polarity!r}")
+        if w <= 0 or l <= 0:
             raise GeometryError("w and l must be positive")
-        if self.l - 2 * self.l_d < 0:
+        if l - 2 * l_d < 0:
             raise GeometryError("effective length l - 2*l_d is negative")
-        if self.k_prime <= 0:
+        if k_prime <= 0:
             raise InputError("k_prime must be positive")
-        for m in (self.m_j, self.m_jsw):
+        for m in (m_j, m_jsw):
             if not 0 < m <= 1:
                 raise InputError("grading coefficients must be in (0, 1]")
-        if self.x_j_sw == 0.0:
-            object.__setattr__(self, "x_j_sw", self.x_j)
+        if x_j_sw == 0.0:
+            x_j_sw = x_j
+        self.__dict__.update(
+            polarity=polarity, k_prime=k_prime, vt0=vt0, gamma=gamma, phi_f2=phi_f2,
+            lambda_=lambda_, w=w, l=l, l_d=l_d, t_ox=t_ox, c_ox=c_ox, n_d=n_d,
+            n_a_sub=n_a_sub, n_a_sw=n_a_sw, x_j=x_j, x_j_sw=x_j_sw, y=y, m_j=m_j,
+            m_jsw=m_jsw)
 
     @property
     def l_eff(self):
@@ -93,26 +95,23 @@ class MosDevice:
         return consts.eps_ox / (self.t_ox * 1e2) * 1e4  # F/cm^2 -> F/m^2
 
 
-@dataclass(frozen=True)
-class OperatingPoint:
-    region: str
-    i_d: float
-    v_t: float
-    v_gs: float
-    v_ds: float
-    v_sb: float
+class OperatingPoint(Record):
+    _fields = ("region", "i_d", "v_t", "v_gs", "v_ds", "v_sb")
+
+    def __init__(self, region, i_d, v_t, v_gs, v_ds, v_sb):
+        self.__dict__.update(region=region, i_d=i_d, v_t=v_t, v_gs=v_gs, v_ds=v_ds,
+                             v_sb=v_sb)
 
 
-@dataclass(frozen=True)
-class CapReport:
-    c_gb: float
-    c_gs: float
-    c_gd: float
-    c_ox_total: float
-    c_overlap: float
-    c_bottom: float
-    c_sidewall: float
-    c_junction_total: float
+class CapReport(Record):
+    _fields = ("c_gb", "c_gs", "c_gd", "c_ox_total", "c_overlap", "c_bottom",
+               "c_sidewall", "c_junction_total")
+
+    def __init__(self, c_gb, c_gs, c_gd, c_ox_total, c_overlap, c_bottom, c_sidewall,
+                 c_junction_total):
+        self.__dict__.update(c_gb=c_gb, c_gs=c_gs, c_gd=c_gd, c_ox_total=c_ox_total,
+                             c_overlap=c_overlap, c_bottom=c_bottom, c_sidewall=c_sidewall,
+                             c_junction_total=c_junction_total)
 
 
 def threshold_voltage(dev: MosDevice, v_sb: float) -> float:
@@ -217,12 +216,11 @@ def mos_capacitances(dev: MosDevice, region: str, v_reverse: float = 0.0,
 QUANTITIES = ("V", "I", "C", "R", "R_sheet", "delay", "P", "E", "power_density")
 
 
-@dataclass(frozen=True)
-class ScalingFactors:
-    mode: str
-    s: float
-    m: float
-    factors: dict = field(default_factory=dict)
+class ScalingFactors(Record):
+    _fields = ("mode", "s", "m", "factors")
+
+    def __init__(self, mode, s, m, factors=None):
+        self.__dict__.update(mode=mode, s=s, m=m, factors={} if factors is None else factors)
 
     def compose(self, other: "ScalingFactors") -> "ScalingFactors":
         return scale_factors("general", s=self.s * other.s, m=self.m * other.m)
@@ -266,17 +264,13 @@ def scale_factors(mode: str, s: float = 1.0, m: float = None) -> ScalingFactors:
     return ScalingFactors(mode=mode, s=sv, m=sd, factors=factors)
 
 
-@dataclass(frozen=True)
-class VtcResult:
-    v_ol: float
-    v_oh: float
-    v_il: float
-    v_ih: float
-    v_m: float
-    nm_l: float
-    nm_h: float
-    config: str = ""
-    regions: dict = field(default_factory=dict)
+class VtcResult(Record):
+    _fields = ("v_ol", "v_oh", "v_il", "v_ih", "v_m", "nm_l", "nm_h", "config", "regions")
+
+    def __init__(self, v_ol, v_oh, v_il, v_ih, v_m, nm_l, nm_h, config="", regions=None):
+        self.__dict__.update(v_ol=v_ol, v_oh=v_oh, v_il=v_il, v_ih=v_ih, v_m=v_m, nm_l=nm_l,
+                             nm_h=nm_h, config=config,
+                             regions={} if regions is None else regions)
 
 
 def _bisect(f, lo, hi, steps):
@@ -294,14 +288,13 @@ def _bisect(f, lo, hi, steps):
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class _Fet:
+class _Fet(Record):
     """Square-law element: transconductance and threshold keys, gate drive.
     pMOS thresholds enter the overdrive as magnitudes, nMOS ones signed."""
-    polarity: str
-    k: str
-    vt: str
-    gate: str
+    _fields = ("polarity", "k", "vt", "gate")
+
+    def __init__(self, polarity, k, vt, gate):
+        self.__dict__.update(polarity=polarity, k=k, vt=vt, gate=gate)
 
     def keys(self):
         return self.k, self.vt
@@ -314,9 +307,11 @@ class _Fet:
                 functools.partial(_region, v_ov))
 
 
-@dataclass(frozen=True)
-class _Resistor:
-    r: str
+class _Resistor(Record):
+    _fields = ("r",)
+
+    def __init__(self, r):
+        self.__dict__["r"] = r
 
     def keys(self):
         return (self.r,)

@@ -8,9 +8,8 @@ units of the minimum-width nMOS channel resistance.
 """
 
 import math
-from dataclasses import dataclass
 
-from . import boolexpr
+from . import Record, boolexpr
 from .errors import DesignError, DomainError, InputError, SizeError
 from .gates import (
     RESISTANCE_INPUT_LIMIT,
@@ -27,20 +26,20 @@ from .gates import (
 RHO_DEFAULT = 3.59  # optimum stage effort for p_inv = 1, Cd = Cg
 
 
-@dataclass(frozen=True)
-class PullupLoad:
+class PullupLoad(Record):
     """Always-on pMOS load (ratioed/pseudo-nMOS style pull-up)."""
-    width: float = 1.0
+    _fields = ("width",)
+
+    def __init__(self, width=1.0):
+        self.__dict__["width"] = width
 
 
-@dataclass(frozen=True)
-class GateTemplate:
-    name: str
-    g_rise: dict
-    g_fall: dict
-    p_rise: float
-    p_fall: float
-    c_in: dict
+class GateTemplate(Record):
+    _fields = ("name", "g_rise", "g_fall", "p_rise", "p_fall", "c_in")
+
+    def __init__(self, name, g_rise, g_fall, p_rise, p_fall, c_in):
+        self.__dict__.update(name=name, g_rise=g_rise, g_fall=g_fall, p_rise=p_rise,
+                             p_fall=p_fall, c_in=c_in)
 
     def g(self, inp, transition=None):
         gr, gf = self.g_rise[inp], self.g_fall[inp]
@@ -241,36 +240,33 @@ def nand_nor_effort(n: int, mu: float) -> dict:
         raise InputError("need n >= 1 and mu > 0")
     nand_per = (n + mu) / (1 + mu)
     nor_per = (1 + n * mu) / (1 + mu)
+    if not all(map(math.isfinite, (nand_per, nor_per, n * nand_per, n * nor_per))):
+        raise DomainError(f"efforts for n={n:.4g}, mu={mu:.4g} are not finite")
     return {
         "nand": {"per_input": nand_per, "total": n * nand_per},
         "nor": {"per_input": nor_per, "total": n * nor_per},
     }
 
 
-@dataclass(frozen=True)
-class Stage:
-    g: float
-    p: float
-    b: float = 1.0
-    name: str = ""
+class Stage(Record):
+    _fields = ("g", "p", "b", "name")
 
-    def __post_init__(self):
-        if self.g <= 0 or self.b < 1:
+    def __init__(self, g, p, b=1.0, name=""):
+        if g <= 0 or b < 1:
             raise InputError("stage needs g > 0 and branching >= 1")
+        self.__dict__.update(g=g, p=p, b=b, name=name)
 
 
-@dataclass(frozen=True)
-class PathSpec:
-    stages: tuple
-    c_in: float
-    c_load: float
+class PathSpec(Record):
+    _fields = ("stages", "c_in", "c_load")
 
-    def __post_init__(self):
-        object.__setattr__(self, "stages", tuple(self.stages))
-        if not self.stages:
+    def __init__(self, stages, c_in, c_load):
+        stages = tuple(stages)
+        if not stages:
             raise InputError("path needs at least one stage")
-        if self.c_in <= 0 or self.c_load <= 0:
+        if c_in <= 0 or c_load <= 0:
             raise InputError("c_in and c_load must be positive")
+        self.__dict__.update(stages=stages, c_in=c_in, c_load=c_load)
 
     @property
     def h(self):
@@ -357,18 +353,16 @@ def optimize_path(path: PathSpec, allow_added_inverters: bool = True,
     }
 
 
-@dataclass(frozen=True)
-class ForkSpec:
+class ForkSpec(Record):
     """Two-branch amplifying fork: the branches differ in length by one
-    inverter (m+1 vs m) so the outputs have opposite polarity."""
-    c_in_total: float
-    branch_load: float
-    m: int = 0          # short-branch length; 0 = choose automatically
-    p_inv: float = 1.0
+    inverter (m+1 vs m) so the outputs have opposite polarity. ``m`` is the
+    short-branch length, 0 to choose it automatically."""
+    _fields = ("c_in_total", "branch_load", "m", "p_inv")
 
-    def __post_init__(self):
-        if self.c_in_total <= 0 or self.branch_load <= 0:
+    def __init__(self, c_in_total, branch_load, m=0, p_inv=1.0):
+        if c_in_total <= 0 or branch_load <= 0:
             raise DesignError("fork needs positive input cap and loads")
+        self.__dict__.update(c_in_total=c_in_total, branch_load=branch_load, m=m, p_inv=p_inv)
 
 
 def _fork_delays(m, x, spec):
@@ -384,7 +378,11 @@ def design_fork(spec: ForkSpec, rho: float = RHO_DEFAULT, tol: float = 1e-3) -> 
     if spec.m:
         candidates = [spec.m]
     else:
-        m0 = math.log(2.0 * spec.branch_load / spec.c_in_total) / math.log(rho)
+        ratio = 2.0 * spec.branch_load / spec.c_in_total
+        if not math.isfinite(ratio):
+            raise DomainError(f"branch_load / c_in_total = {spec.branch_load:g} / "
+                              f"{spec.c_in_total:g} overflows")
+        m0 = math.log(ratio) / math.log(rho)
         candidates = sorted({max(1, round(m0) - 1), max(1, round(m0)),
                              max(1, round(m0) + 1)})
     best = None

@@ -14,9 +14,8 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
-from . import boolexpr
+from . import Record, boolexpr
 from .errors import DomainError, InputError, SizeError, StructureError
 from .units import parse_quantity
 
@@ -25,34 +24,33 @@ DUALITY_INPUT_LIMIT = 24
 RESISTANCE_INPUT_LIMIT = 18
 
 
-@dataclass(frozen=True)
-class Switch:
-    name: str
-    width: float = 1.0
+class Switch(Record):
+    _fields = ("name", "width")
 
-    def __post_init__(self):
-        if self.width <= 0:
-            raise InputError(f"switch {self.name!r} needs a positive width")
+    def __init__(self, name, width=1.0):
+        if width <= 0:
+            raise InputError(f"switch {name!r} needs a positive width")
+        self.__dict__.update(name=name, width=width)
 
 
-@dataclass(frozen=True)
-class Series:
-    children: tuple
+class Series(Record):
+    _fields = ("children",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        if len(self.children) < 2:
+    def __init__(self, children):
+        children = tuple(children)
+        if len(children) < 2:
             raise StructureError("series node needs >= 2 children")
+        self.__dict__["children"] = children
 
 
-@dataclass(frozen=True)
-class Parallel:
-    children: tuple
+class Parallel(Record):
+    _fields = ("children",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        if len(self.children) < 2:
+    def __init__(self, children):
+        children = tuple(children)
+        if len(children) < 2:
             raise StructureError("parallel node needs >= 2 children")
+        self.__dict__["children"] = children
 
 
 def network_inputs(net):
@@ -136,13 +134,11 @@ def _sized(net, r_budget, unit_width):
     return Parallel(tuple(_sized(c, r_budget, unit_width) for c in net.children))
 
 
-@dataclass(frozen=True)
-class CompoundGate:
-    pdn: object
-    pun: object
-    w_n: float = 1.0
-    w_p: float = 4.0
-    mu: float = 4.0
+class CompoundGate(Record):
+    _fields = ("pdn", "pun", "w_n", "w_p", "mu")
+
+    def __init__(self, pdn, pun, w_n=1.0, w_p=4.0, mu=4.0):
+        self.__dict__.update(pdn=pdn, pun=pun, w_n=w_n, w_p=w_p, mu=mu)
 
     def pdn_conducts(self, assignment):
         return evaluate_network(self.pdn, assignment)
@@ -375,19 +371,17 @@ def common_euler_ordering(gate: CompoundGate):
 
 # --- charge sharing -------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChargeShareCase:
-    c_out: float
-    c_exposed: tuple
-    v_dd: float = 1.0
-    v_internal_init: float = 0.0
+class ChargeShareCase(Record):
+    _fields = ("c_out", "c_exposed", "v_dd", "v_internal_init")
 
-    def __post_init__(self):
-        object.__setattr__(self, "c_exposed", tuple(self.c_exposed))
-        if self.c_out <= 0:
+    def __init__(self, c_out, c_exposed, v_dd=1.0, v_internal_init=0.0):
+        c_exposed = tuple(c_exposed)
+        if c_out <= 0:
             raise InputError("c_out must be positive")
-        if any(c < 0 for c in self.c_exposed):
+        if any(c < 0 for c in c_exposed):
             raise InputError("exposed capacitances must be >= 0")
+        self.__dict__.update(c_out=c_out, c_exposed=c_exposed, v_dd=v_dd,
+                             v_internal_init=v_internal_init)
 
 
 def charge_share_voltage(case: ChargeShareCase) -> float:

@@ -2,22 +2,28 @@
 insertion, optimal inverter chains, and inverter output slew."""
 
 import math
-from dataclasses import dataclass, field
 
+from . import Record
 from .device import MosDevice, square_law_current, threshold_voltage
 from .errors import DomainError, InputError
 
 _REL_TOL = 1e-9
 
 
-@dataclass
-class RcTree:
+class RcTree(Record):
     """Rooted RC tree: each non-root node hangs off its parent through a
-    resistance; every node may carry a grounded capacitance."""
+    resistance; every node may carry a grounded capacitance. Unlike the
+    other records it is mutable, and so unhashable."""
 
-    root: str
-    parent: dict = field(default_factory=dict)      # node -> (parent, r_edge)
-    cap: dict = field(default_factory=dict)         # node -> farads
+    _fields = ("root", "parent", "cap")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, root, parent=None, cap=None):
+        self.root = root
+        self.parent = {} if parent is None else parent  # node -> (parent, r_edge)
+        self.cap = {} if cap is None else cap           # node -> farads
 
     @classmethod
     def from_edges(cls, root, edges, caps=None):
@@ -126,18 +132,17 @@ def elmore(tree: RcTree, sink, scale="tau") -> float:
     return tau_r * factor
 
 
-@dataclass(frozen=True)
-class WireSpec:
-    length: float                   # consistent length unit L
-    width: float                    # L
-    r_sheet: float                  # ohm/sq
-    c_area: float = 0.0             # F/L^2
-    c_fringe_per_edge: float = 0.0  # F/L
-    fringe_edges: int = 2
+class WireSpec(Record):
+    """Lengths in one unit L: length and width in L, r_sheet in ohm/sq,
+    c_area in F/L^2, c_fringe_per_edge in F/L."""
+    _fields = ("length", "width", "r_sheet", "c_area", "c_fringe_per_edge", "fringe_edges")
 
-    def __post_init__(self):
-        if self.length < 0 or self.width <= 0:
+    def __init__(self, length, width, r_sheet, c_area=0.0, c_fringe_per_edge=0.0,
+                 fringe_edges=2):
+        if length < 0 or width <= 0:
             raise InputError("wire needs length >= 0 and width > 0")
+        self.__dict__.update(length=length, width=width, r_sheet=r_sheet, c_area=c_area,
+                             c_fringe_per_edge=c_fringe_per_edge, fringe_edges=fringe_edges)
 
 
 def wire_rc(spec: WireSpec) -> dict:
@@ -148,24 +153,22 @@ def wire_rc(spec: WireSpec) -> dict:
     return {"r": r, "c": c}
 
 
-@dataclass(frozen=True)
-class FixedDelay:
-    delay: float
+class FixedDelay(Record):
+    _fields = ("delay",)
 
-    def __post_init__(self):
-        if self.delay < 0:
+    def __init__(self, delay):
+        if delay < 0:
             raise InputError("buffer delay must be >= 0")
+        self.__dict__["delay"] = delay
 
 
-@dataclass(frozen=True)
-class RcDriver:
-    r_drive: float
-    c_diff_out: float = 0.0
-    c_gate_in: float = 0.0
+class RcDriver(Record):
+    _fields = ("r_drive", "c_diff_out", "c_gate_in")
 
-    def __post_init__(self):
-        if min(self.r_drive, self.c_diff_out, self.c_gate_in) < 0:
+    def __init__(self, r_drive, c_diff_out=0.0, c_gate_in=0.0):
+        if min(r_drive, c_diff_out, c_gate_in) < 0:
             raise InputError("driver parameters must be >= 0")
+        self.__dict__.update(r_drive=r_drive, c_diff_out=c_diff_out, c_gate_in=c_gate_in)
 
 
 def _segment_sweep(n):

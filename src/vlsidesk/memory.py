@@ -7,39 +7,36 @@ Cell KCL ignores body effect; where a bias-dependent threshold matters
 """
 
 import math
-from dataclasses import dataclass, replace
 
+from . import Record
 from .device import MosDevice, bias_point
-from .errors import InfeasibleError, InputError, SolverError
+from .errors import DomainError, InfeasibleError, InputError, SolverError
 
 
-@dataclass(frozen=True)
-class CellDevice:
-    """One cell transistor reduced to what the quadratic KCL needs."""
-    k_prime: float    # A/V^2
-    wl: float         # W/L
-    vt: float         # magnitude, V
+class CellDevice(Record):
+    """One cell transistor reduced to what the quadratic KCL needs: k_prime
+    in A/V^2, the ratio wl = W/L and the threshold magnitude vt in V."""
+    _fields = ("k_prime", "wl", "vt")
 
-    def __post_init__(self):
-        if self.k_prime <= 0 or self.wl <= 0:
+    def __init__(self, k_prime, wl, vt):
+        if k_prime <= 0 or wl <= 0:
             raise InputError("k_prime and wl must be positive")
+        self.__dict__.update(k_prime=k_prime, wl=wl, vt=vt)
 
     @property
     def k(self):
         return self.k_prime * self.wl
 
 
-@dataclass(frozen=True)
-class SramCell:
-    access: CellDevice
-    pulldown: CellDevice
-    pullup: CellDevice = None
-    v_dd: float = 1.0
-    v_bitline: float = None   # defaults: v_dd on read, 0 on write
+class SramCell(Record):
+    """``v_bitline`` None means v_dd on read and 0 on write."""
+    _fields = ("access", "pulldown", "pullup", "v_dd", "v_bitline")
 
-    def __post_init__(self):
-        if self.v_dd <= 0:
+    def __init__(self, access, pulldown, pullup=None, v_dd=1.0, v_bitline=None):
+        if v_dd <= 0:
             raise InputError("v_dd must be positive")
+        self.__dict__.update(access=access, pulldown=pulldown, pullup=pullup, v_dd=v_dd,
+                             v_bitline=v_bitline)
 
 
 def _smaller_root(a, b, c):
@@ -104,7 +101,8 @@ def access_sizing(fixed: MosDevice, fixed_bias: tuple,
     op_fixed = bias_point(fixed, *fixed_bias)
     if op_fixed.i_d <= 0:
         raise InfeasibleError("reference device carries no current at the trip point")
-    op_unit = bias_point(replace(unknown, w=1.0, l=1.0, l_d=0.0), *unknown_bias)
+    unit = {f: getattr(unknown, f) for f in MosDevice._fields} | {"w": 1.0, "l": 1.0, "l_d": 0.0}
+    op_unit = bias_point(MosDevice(**unit), *unknown_bias)
     if op_unit.i_d <= 0:
         raise InfeasibleError("device to size is off at the trip point")
     wl = op_fixed.i_d / op_unit.i_d
@@ -130,25 +128,22 @@ def load_resistor_bound(access: CellDevice, pulldown: CellDevice,
             "i_access": i_access, "i_pulldown": i_pulldown}
 
 
-@dataclass(frozen=True)
-class BitlineGeometry:
-    rows: int
-    cell_height: float      # bitline run per cell, L
-    cell_width: float
-    bl_width: float
-    access_w: float         # drain-contact width per cell
-    c_g: float = 0.0        # F/L
-    c_d: float = 0.0        # F/L
-    c_pp: float = 0.0       # F/L^2 plate
-    c_fr: float = 0.0       # F/L per edge
-    r_sq: float = 0.0       # ohm/sq
-    fringe_edges: int = 2
+class BitlineGeometry(Record):
+    """Lengths in one unit L: ``cell_height`` is the bitline run per cell,
+    ``access_w`` the drain-contact width per cell. c_g, c_d and c_fr (per
+    edge) are in F/L, the plate c_pp in F/L^2, r_sq in ohm/sq."""
+    _fields = ("rows", "cell_height", "cell_width", "bl_width", "access_w", "c_g", "c_d",
+               "c_pp", "c_fr", "r_sq", "fringe_edges")
 
-    def __post_init__(self):
-        if self.rows < 0:
+    def __init__(self, rows, cell_height, cell_width, bl_width, access_w, c_g=0.0, c_d=0.0,
+                 c_pp=0.0, c_fr=0.0, r_sq=0.0, fringe_edges=2):
+        if rows < 0:
             raise InputError("rows must be >= 0")
-        if self.rows and min(self.cell_height, self.bl_width) <= 0:
+        if rows and min(cell_height, bl_width) <= 0:
             raise InputError("bitline geometry must be positive")
+        self.__dict__.update(rows=rows, cell_height=cell_height, cell_width=cell_width,
+                             bl_width=bl_width, access_w=access_w, c_g=c_g, c_d=c_d,
+                             c_pp=c_pp, c_fr=c_fr, r_sq=r_sq, fringe_edges=fringe_edges)
 
 
 def bitline_model(geom: BitlineGeometry) -> dict:
@@ -163,26 +158,24 @@ def bitline_model(geom: BitlineGeometry) -> dict:
         + length * geom.c_fr * geom.fringe_edges
     r_total = geom.r_sq * length / geom.bl_width
     c_total = c_diff + c_wire
-    return {"c_total": c_total, "c_diffusion": c_diff, "c_wire": c_wire,
-            "r_total": r_total, "elmore_distributed": r_total * c_total / 2.0}
+    out = {"c_total": c_total, "c_diffusion": c_diff, "c_wire": c_wire,
+           "r_total": r_total, "elmore_distributed": r_total * c_total / 2.0}
+    if not all(map(math.isfinite, out.values())):
+        raise DomainError(f"bitline loading is not finite: {out}")
+    return out
 
 
-@dataclass(frozen=True)
-class ArrayPlan:
-    rows: int
-    cols: int
-    decode_levels: int
-    mux_levels: int = 0
-    r_word: float = None
-    c_word: float = None
-    r_bit: float = None
-    c_bit: float = None
-    d_gate: float = None
-    d_mux: float = None
+class ArrayPlan(Record):
+    _fields = ("rows", "cols", "decode_levels", "mux_levels", "r_word", "c_word", "r_bit",
+               "c_bit", "d_gate", "d_mux")
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
+    def __init__(self, rows, cols, decode_levels, mux_levels=0, r_word=None, c_word=None,
+                 r_bit=None, c_bit=None, d_gate=None, d_mux=None):
+        if rows < 1 or cols < 1:
             raise InputError("array needs rows, cols >= 1")
+        self.__dict__.update(rows=rows, cols=cols, decode_levels=decode_levels,
+                             mux_levels=mux_levels, r_word=r_word, c_word=c_word,
+                             r_bit=r_bit, c_bit=c_bit, d_gate=d_gate, d_mux=d_mux)
 
 
 def blocked_read_delay(plan: ArrayPlan) -> dict:
@@ -233,17 +226,14 @@ def decoder_cost(stages) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class AddressMap:
-    chips: int
-    banks: int
-    rows: int
-    cols: int
-    address_bits: int = 32
-    order: tuple = ("row", "bank", "col", "chip")  # MSB -> LSB below 'unused'
+class AddressMap(Record):
+    """``order`` lists the fields from MSB to LSB, below 'unused'."""
+    _fields = ("chips", "banks", "rows", "cols", "address_bits", "order")
 
-    def __post_init__(self):
-        object.__setattr__(self, "order", tuple(self.order))
+    def __init__(self, chips, banks, rows, cols, address_bits=32,
+                 order=("row", "bank", "col", "chip")):
+        self.__dict__.update(chips=chips, banks=banks, rows=rows, cols=cols,
+                             address_bits=address_bits, order=tuple(order))
         if sorted(self.order) != ["bank", "chip", "col", "row"]:
             raise InputError("order must permute row/bank/col/chip")
         for name in ("chips", "banks", "rows", "cols"):

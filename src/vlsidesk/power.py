@@ -5,40 +5,37 @@ bus splitting, and gray-code transition accounting."""
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
-from . import boolexpr
+from . import Record, boolexpr
 from .errors import DomainError, InputError, SizeError
 
 ENUMERATION_LIMIT = 24
 GRAY_CYCLE_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class PowerEnv:
-    v_dd: float
-    f_clk: float
-    v_swing: float = 0.0  # defaults to v_dd
+class PowerEnv(Record):
+    _fields = ("v_dd", "f_clk", "v_swing")
 
-    def __post_init__(self):
-        if self.v_dd <= 0 or self.f_clk <= 0:
+    def __init__(self, v_dd, f_clk, v_swing=0.0):  # v_swing 0 means v_dd
+        if v_dd <= 0 or f_clk <= 0:
             raise InputError("v_dd and f_clk must be positive")
-        if self.v_swing == 0.0:
-            object.__setattr__(self, "v_swing", self.v_dd)
-        if not 0 < self.v_swing <= self.v_dd:
+        if v_swing == 0.0:
+            v_swing = v_dd
+        if not 0 < v_swing <= v_dd:
             raise InputError("need 0 < v_swing <= v_dd")
+        self.__dict__.update(v_dd=v_dd, f_clk=f_clk, v_swing=v_swing)
 
 
-@dataclass(frozen=True)
-class LoadPoint:
-    c: float
-    beta: float          # transitions per cycle (both directions)
+class LoadPoint(Record):
+    """``beta`` counts transitions per cycle, both directions."""
+    _fields = ("c", "beta")
 
-    def __post_init__(self):
-        if self.c < 0:
+    def __init__(self, c, beta):
+        if c < 0:
             raise InputError("capacitance must be >= 0")
-        if not 0 <= self.beta <= 2:
+        if not 0 <= beta <= 2:
             raise InputError("activity must be within [0, 2] transitions/cycle")
+        self.__dict__.update(c=c, beta=beta)
 
 
 def signal_probability(expr, probabilities) -> dict:

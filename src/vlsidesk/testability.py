@@ -7,30 +7,30 @@ kernel: one bit per pattern, so a single pass evaluates every vector of a
 fault simulation or the whole input space of an ATPG search.
 """
 
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_, or_, xor
 
-from . import boolexpr
+from . import Record, boolexpr
 from .errors import InputError, NetlistError, SizeError
 
 ATPG_INPUT_LIMIT = 20
 LFSR_PERIOD_LIMIT = 24
+LFSR_STEP_LIMIT = 100_000
 
 
-@dataclass(frozen=True)
-class GfPolynomial:
+class GfPolynomial(Record):
     """Coefficient bits c_0..c_n over GF(2), c_0 = c_n = 1 for LFSR use."""
-    coeffs: tuple
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) & 1 for c in self.coeffs))
-        if len(self.coeffs) < 2:
+    def __init__(self, coeffs):
+        coeffs = tuple(int(c) & 1 for c in coeffs)
+        if len(coeffs) < 2:
             raise InputError("polynomial needs degree >= 1")
-        if self.coeffs[0] != 1:
+        if coeffs[0] != 1:
             raise InputError("c_0 must be 1 for an LFSR polynomial")
-        if self.coeffs[-1] != 1:
+        if coeffs[-1] != 1:
             raise InputError("leading coefficient c_n must be 1")
+        self.__dict__["coeffs"] = coeffs
 
     @classmethod
     def from_powers(cls, powers):
@@ -47,27 +47,23 @@ class GfPolynomial:
         return len(self.coeffs) - 1
 
 
-@dataclass(frozen=True)
-class Lfsr:
+class Lfsr(Record):
     """Modular (Galois) LFSR: bit 0 takes the feedback, an XOR sits in
-    front of stage i wherever c_i = 1 (0 < i < n)."""
-    poly: GfPolynomial
-    taps: tuple = field(init=False)
-    matrix: tuple = field(init=False)
-    feedback: int = field(init=False)   # bits XORed in when the top stage is 1
+    front of stage i wherever c_i = 1 (0 < i < n). ``feedback`` holds the
+    bits XORed in when the top stage is 1."""
+    _fields = ("poly", "taps", "matrix", "feedback")
 
-    def __post_init__(self):
-        n = self.poly.degree
-        taps = tuple(i for i in range(1, n) if self.poly.coeffs[i])
-        object.__setattr__(self, "taps", taps)
-        object.__setattr__(self, "feedback", 1 | sum(1 << t for t in taps))
+    def __init__(self, poly):
+        n = poly.degree
+        taps = tuple(i for i in range(1, n) if poly.coeffs[i])
         m = [[0] * n for _ in range(n)]
         m[0][n - 1] = 1
         for i in range(1, n):
             m[i][i - 1] = 1
             if i in taps:
                 m[i][n - 1] ^= 1
-        object.__setattr__(self, "matrix", tuple(tuple(r) for r in m))
+        self.__dict__.update(poly=poly, taps=taps, matrix=tuple(tuple(r) for r in m),
+                             feedback=1 | sum(1 << t for t in taps))
 
     @property
     def n(self):
@@ -88,6 +84,8 @@ def lfsr_run(lfsr: Lfsr, seed: int, steps: int) -> dict:
     the seed, for degrees up to LFSR_PERIOD_LIMIT)."""
     if steps < 0:
         raise InputError("steps must be >= 0")
+    if steps > LFSR_STEP_LIMIT:
+        raise SizeError(f"steps exceeds the LFSR run bound of {LFSR_STEP_LIMIT}")
     n = lfsr.n
     if n > LFSR_PERIOD_LIMIT:
         raise SizeError(f"degree {n} exceeds the LFSR period search bound")
@@ -148,34 +146,29 @@ _GATE_FUNCS = {
 }
 
 
-@dataclass(frozen=True)
-class Gate:
-    kind: str
-    inputs: tuple
-    output: str
+class Gate(Record):
+    _fields = ("kind", "inputs", "output")
 
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        if self.kind not in _GATE_FUNCS:
-            raise NetlistError(f"unknown gate kind {self.kind!r}")
-        if self.kind in ("not", "buf") and len(self.inputs) != 1:
-            raise NetlistError(f"{self.kind} takes exactly one input")
-        if self.kind not in ("not", "buf") and len(self.inputs) < 2:
-            raise NetlistError(f"{self.kind} needs at least two inputs")
+    def __init__(self, kind, inputs, output):
+        inputs = tuple(inputs)
+        if kind not in _GATE_FUNCS:
+            raise NetlistError(f"unknown gate kind {kind!r}")
+        if kind in ("not", "buf") and len(inputs) != 1:
+            raise NetlistError(f"{kind} takes exactly one input")
+        if kind not in ("not", "buf") and len(inputs) < 2:
+            raise NetlistError(f"{kind} needs at least two inputs")
+        self.__dict__.update(kind=kind, inputs=inputs, output=output)
 
 
-@dataclass(frozen=True)
-class GateNetlist:
-    inputs: tuple
-    gates: tuple
-    outputs: tuple
+class GateNetlist(Record):
+    """``__init__`` also stores the gates in topological order as ``_order``."""
+    _fields = ("inputs", "gates", "outputs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-        object.__setattr__(self, "gates",
-                           tuple(g if isinstance(g, Gate) else Gate(**g)
-                                 for g in self.gates))
+    def __init__(self, inputs, gates, outputs):
+        self.__dict__.update(inputs=tuple(inputs),
+                             gates=tuple(g if isinstance(g, Gate) else Gate(**g)
+                                         for g in gates),
+                             outputs=tuple(outputs))
         driven = set(self.inputs)
         for g in self.gates:
             if g.output in driven:
@@ -201,7 +194,7 @@ class GateNetlist:
                 order.append(g)
                 ready.add(g.output)
             pending = [g for g in pending if g not in progress]
-        object.__setattr__(self, "_order", tuple(order))
+        self.__dict__["_order"] = tuple(order)
 
     def nets(self):
         return tuple(self.inputs) + tuple(g.output for g in self.gates)
@@ -214,14 +207,13 @@ class GateNetlist:
                    outputs=tuple(obj["outputs"]))
 
 
-@dataclass(frozen=True)
-class StuckFault:
-    net: str
-    value: int
+class StuckFault(Record):
+    _fields = ("net", "value")
 
-    def __post_init__(self):
-        if self.value not in (0, 1):
+    def __init__(self, net, value):
+        if value not in (0, 1):
             raise InputError("stuck value must be 0 or 1")
+        self.__dict__.update(net=net, value=value)
 
     def label(self):
         return f"{self.net}/SA{self.value}"

@@ -5,35 +5,30 @@ arrival, with an optional symmetric uncertainty that tightens both the
 setup and the hold check."""
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from . import Record
 from .errors import InfeasibleError, InputError, SizeError
 
 LATCH_STAGE_LIMIT = 64
+RIPPLE_BLOCK_LIMIT = 100_000
 
 
-@dataclass(frozen=True)
-class RegEdge:
-    launch: str
-    capture: str
-    t_cq_min: float = 0.0
-    t_cq_max: float = 0.0
-    t_setup: float = 0.0
-    t_hold: float = 0.0
-    d_min: float = 0.0
-    d_max: float = 0.0
-    skew: float = 0.0
-    skew_uncertainty: float = 0.0
+class RegEdge(Record):
+    _fields = ("launch", "capture", "t_cq_min", "t_cq_max", "t_setup", "t_hold", "d_min",
+               "d_max", "skew", "skew_uncertainty")
 
-    def __post_init__(self):
-        if self.t_cq_min > self.t_cq_max:
+    def __init__(self, launch, capture, t_cq_min=0.0, t_cq_max=0.0, t_setup=0.0, t_hold=0.0,
+                 d_min=0.0, d_max=0.0, skew=0.0, skew_uncertainty=0.0):
+        if t_cq_min > t_cq_max:
             raise InputError("t_cq_min exceeds t_cq_max")
-        if self.d_min > self.d_max:
+        if d_min > d_max:
             raise InputError("d_min exceeds d_max")
-        if min(self.t_cq_min, self.t_setup, self.t_hold, self.d_min,
-               self.skew_uncertainty) < 0:
+        if min(t_cq_min, t_setup, t_hold, d_min, skew_uncertainty) < 0:
             raise InputError("times must be >= 0 (skew may be signed)")
+        self.__dict__.update(launch=launch, capture=capture, t_cq_min=t_cq_min,
+                             t_cq_max=t_cq_max, t_setup=t_setup, t_hold=t_hold, d_min=d_min,
+                             d_max=d_max, skew=skew, skew_uncertainty=skew_uncertainty)
 
 
 def check_timing(edges, period) -> dict:
@@ -109,24 +104,23 @@ def _stages_needed(total, reg, target):
     return hi
 
 
-@dataclass(frozen=True)
-class RippleArcs:
-    xy_to_s: float
-    xy_to_bout: float
-    bin_to_s: float
-    bin_to_bout: float
-    n_blocks: int
+class RippleArcs(Record):
+    _fields = ("xy_to_s", "xy_to_bout", "bin_to_s", "bin_to_bout", "n_blocks")
 
-    def __post_init__(self):
-        if self.n_blocks < 1:
+    def __init__(self, xy_to_s, xy_to_bout, bin_to_s, bin_to_bout, n_blocks):
+        if n_blocks < 1:
             raise InputError("need at least one block")
-        if min(self.xy_to_s, self.xy_to_bout, self.bin_to_s, self.bin_to_bout) < 0:
+        if min(xy_to_s, xy_to_bout, bin_to_s, bin_to_bout) < 0:
             raise InputError("arc delays must be >= 0")
+        self.__dict__.update(xy_to_s=xy_to_s, xy_to_bout=xy_to_bout, bin_to_s=bin_to_s,
+                             bin_to_bout=bin_to_bout, n_blocks=n_blocks)
 
 
 def ripple_chain(arcs: RippleArcs) -> dict:
     """Stable times of a borrow/carry ripple chain with all primary inputs
     (and the block-0 chain input) switching at t = 0."""
+    if arcs.n_blocks > RIPPLE_BLOCK_LIMIT:
+        raise SizeError(f"n_blocks exceeds the ripple chain bound of {RIPPLE_BLOCK_LIMIT}")
     s, bout = [], []
     b_in = 0.0
     for _ in range(arcs.n_blocks):
@@ -137,27 +131,24 @@ def ripple_chain(arcs: RippleArcs) -> dict:
             "critical_delay": max(s[-1], bout[-1], max(s))}
 
 
-@dataclass(frozen=True)
-class RingStage:
-    t_plh: float
-    t_phl: float
+class RingStage(Record):
+    _fields = ("t_plh", "t_phl")
 
-    def __post_init__(self):
-        if self.t_plh < 0 or self.t_phl < 0:
+    def __init__(self, t_plh, t_phl):
+        if t_plh < 0 or t_phl < 0:
             raise InputError("stage delays must be >= 0")
+        self.__dict__.update(t_plh=t_plh, t_phl=t_phl)
 
 
-@dataclass(frozen=True)
-class RingSpec:
-    stages: tuple          # odd count of RingStage
-    probe_node: int = 0    # node k = output of stage k
+class RingSpec(Record):
+    """An odd count of ``RingStage``; node k is the output of stage k."""
+    _fields = ("stages", "probe_node")
 
-    def __post_init__(self):
-        object.__setattr__(self, "stages",
-                           tuple(s if isinstance(s, RingStage) else RingStage(*s)
-                                 for s in self.stages))
-        if len(self.stages) % 2 == 0:
+    def __init__(self, stages, probe_node=0):
+        stages = tuple(s if isinstance(s, RingStage) else RingStage(*s) for s in stages)
+        if len(stages) % 2 == 0:
             raise InputError("ring needs an odd number of stages")
+        self.__dict__.update(stages=stages, probe_node=probe_node)
 
 
 def ring_analyze(spec: RingSpec) -> dict:
@@ -223,30 +214,26 @@ def ring_design(n_stages: int, period: float, duty: float) -> dict:
     return {"t_plh": t_plh, "t_phl": t_phl}
 
 
-@dataclass(frozen=True)
-class LatchPipeline:
+class LatchPipeline(Record):
     """Alternating-phase transparent-latch pipeline. Stage k sits between
     latches L_{k-1} and L_k; even latches are open for duty*T starting at
-    multiples of T, odd latches for the rest of the cycle."""
-    n_stages: int
-    duty: Fraction = Fraction(1, 2)
-    deltas: tuple = ()          # worst-case CLB delays, optional
-    d_cq: float = 0.0
-    d_dq: float = 0.0
-    d_dc: float = 0.0           # setup
-    d_cd: float = 0.0           # hold
-    skew: float = 0.0
-    period: float = 0.0
+    multiples of T, odd latches for the rest of the cycle. ``deltas`` are
+    the optional worst-case CLB delays, ``d_dc`` the setup and ``d_cd`` the
+    hold time."""
+    _fields = ("n_stages", "duty", "deltas", "d_cq", "d_dq", "d_dc", "d_cd", "skew", "period")
 
-    def __post_init__(self):
-        object.__setattr__(self, "duty", Fraction(self.duty).limit_denominator(10**6))
-        object.__setattr__(self, "deltas", tuple(self.deltas))
-        if not 0 < self.duty < 1:
+    def __init__(self, n_stages, duty=Fraction(1, 2), deltas=(), d_cq=0.0, d_dq=0.0,
+                 d_dc=0.0, d_cd=0.0, skew=0.0, period=0.0):
+        duty = Fraction(duty).limit_denominator(10**6)
+        deltas = tuple(deltas)
+        if not 0 < duty < 1:
             raise InputError("duty must be in (0, 1)")
-        if self.n_stages < 1:
+        if n_stages < 1:
             raise InputError("need at least one stage")
-        if self.deltas and len(self.deltas) != self.n_stages:
+        if deltas and len(deltas) != n_stages:
             raise InputError("deltas must match n_stages")
+        self.__dict__.update(n_stages=n_stages, duty=duty, deltas=deltas, d_cq=d_cq,
+                             d_dq=d_dq, d_dc=d_dc, d_cd=d_cd, skew=skew, period=period)
 
 
 def _latch_open(k, duty):

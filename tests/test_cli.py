@@ -350,6 +350,7 @@ DEFECT_CASES = [
     ("bus_split", {"n_modules": 1e308, "m_buses": 12}, 2, "analysis_error"),
     ("mos_capacitances", {"w": 1, "l": 1, "region": "cutoff", "c_ox": "1m", "n_d": 1.5,
                           "n_a_sub": 1e16, "y": "1u"}, 2, "analysis_error"),
+    ("design_fork", {"c_in_total": 1, "branch_load": 1e308}, 2, "analysis_error"),
 ]
 
 

@@ -132,6 +132,11 @@ def test_nand_nor_closed_forms():
     assert res1["nor"]["per_input"] == pytest.approx(1.0)
 
 
+def test_nand_nor_overflow_is_a_domain_error():
+    with pytest.raises(DomainError, match="not finite"):
+        nand_nor_effort(int(1e308), 1e308)
+
+
 @pytest.mark.parametrize("n,mu", [(2, 2.0), (3, 3.0), (4, 2.0), (5, 1.5)])
 def test_nand_nor_matches_constructed_gates(n, mu):
     res = nand_nor_effort(n, mu)
@@ -281,6 +286,12 @@ def test_fork_2000():
     assert res["long_caps"] == pytest.approx(
         [4.8, 16.0, 53.6, 179.1, 598.5], rel=0.01)
     assert res["x"] + res["x_short"] == pytest.approx(10.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("c_in_total,branch_load", [(1.0, 1e308), (1e-308, 300.0)])
+def test_fork_load_ratio_overflow_is_a_domain_error(c_in_total, branch_load):
+    with pytest.raises(DomainError, match="overflows"):
+        design_fork(ForkSpec(c_in_total=c_in_total, branch_load=branch_load))
 
 
 def test_fork_1000():

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from vlsidesk.device import MosDevice, bias_point
-from vlsidesk.errors import InfeasibleError, InputError
+from vlsidesk.errors import DomainError, InfeasibleError, InputError
 from vlsidesk.memory import (
     AddressMap,
     ArrayPlan,
@@ -149,6 +149,14 @@ def test_bitline_zero_rows():
                            bl_width=0.2, access_w=0.25)
     res = bitline_model(geom)
     assert res["c_total"] == 0.0 and res["r_total"] == 0.0
+
+
+def test_bitline_overflow_is_a_domain_error():
+    # the wire length overflows to inf, and inf * c_pp = 0 * inf is nan
+    geom = BitlineGeometry(rows=int(1e308), cell_height=1e300, cell_width=0.0,
+                           bl_width=1.0, access_w=1.0)
+    with pytest.raises(DomainError, match="not finite"):
+        bitline_model(geom)
 
 
 def test_bitline_scaling_law():

@@ -1,6 +1,6 @@
 """Start-up of the CLI, each check in a fresh interpreter: a valid case never
-imports jsonschema or argparse, and only the analysis modules a case uses
-are loaded, ``vlsidesk.device`` among them."""
+imports jsonschema, argparse, dataclasses or inspect, and only the analysis
+modules a case uses are loaded, ``vlsidesk.device`` among them."""
 
 import json
 import os
@@ -16,6 +16,7 @@ from conftest import CASES_DIR, load_case
 
 SRC = pathlib.Path(cli.__file__).resolve().parent.parent
 ALWAYS = {"vlsidesk", "vlsidesk.cli", "vlsidesk.errors", "vlsidesk.units"}
+NEVER = ("jsonschema", "argparse", "dataclasses", "inspect")
 
 
 def fresh_python(code, *args, stdin=None):
@@ -30,8 +31,8 @@ import json, sys
 from vlsidesk import cli
 code = cli.main(["run", sys.argv[1]])
 sys.stdout.flush()
-sys.stderr.write(json.dumps({"exit": code, "jsonschema": "jsonschema" in sys.modules,
-                             "argparse": "argparse" in sys.modules,
+sys.stderr.write(json.dumps({"exit": code,
+                             "loaded": [m for m in sys.argv[2:] if m in sys.modules],
                              "vlsidesk": sorted(m for m in sys.modules
                                                 if m.startswith("vlsidesk"))}))
 """
@@ -45,12 +46,12 @@ sys.stderr.write(json.dumps({"exit": code, "jsonschema": "jsonschema" in sys.mod
     ("effort_nand_path_f64", {"vlsidesk.effort", "vlsidesk.gates", "vlsidesk.boolexpr"}),
     ("device_pass_gate_caps", {"vlsidesk.device"}),
     ("interconnect_slew_acc", {"vlsidesk.interconnect", "vlsidesk.device"}),
+    ("memory_access_sizing", {"vlsidesk.memory", "vlsidesk.device"}),
 ])
 def test_valid_run_loads_only_its_analysis_and_no_jsonschema(case, modules):
-    proc = fresh_python(LOADED, str(CASES_DIR / f"{case}.json"))
+    proc = fresh_python(LOADED, str(CASES_DIR / f"{case}.json"), *NEVER)
     seen = json.loads(proc.stderr)
-    assert seen == {"exit": 0, "jsonschema": False, "argparse": False,
-                    "vlsidesk": sorted(ALWAYS | modules)}
+    assert seen == {"exit": 0, "loaded": [], "vlsidesk": sorted(ALWAYS | modules)}
     assert proc.stdout == cli.render_json(cli.run_case(load_case(case)))
 
 
@@ -60,13 +61,15 @@ from vlsidesk import cli
 codes = [cli.main(["run", path]) for path in sys.argv[1:]]
 sys.stdout.flush()
 sys.stderr.write(json.dumps({"exits": sorted(set(codes)),
-                             "loaded": sorted(m for m in ("argparse", "vlsidesk.device")
+                             "loaded": sorted(m for m in ("argparse", "dataclasses",
+                                                          "inspect", "vlsidesk.device")
                                               if m in sys.modules)}))
 """
 
 
 def test_cases_outside_device_interconnect_and_memory_never_load_device():
-    # timing, power, gates, effort and testability import no device model
+    # timing, power, gates, effort and testability import no device model,
+    # and no case imports dataclasses or inspect
     paths = sorted(str(p) for p in CASES_DIR.glob("*.json")
                    if p.name.split("_")[0] in ("timing", "power", "gates", "effort", "test"))
     assert len(paths) == 53

@@ -6,6 +6,7 @@ import pytest
 
 from vlsidesk.errors import InputError, NetlistError, SizeError
 from vlsidesk.testability import (
+    LFSR_STEP_LIMIT,
     Gate,
     GateNetlist,
     GfPolynomial,
@@ -16,6 +17,14 @@ from vlsidesk.testability import (
     lfsr_run,
     logic_simulate,
 )
+
+
+@pytest.mark.parametrize("steps", [LFSR_STEP_LIMIT + 1, 2**70])
+def test_lfsr_steps_beyond_the_bound_are_a_size_error(steps):
+    t0 = time.perf_counter()
+    with pytest.raises(SizeError, match="LFSR run bound"):
+        lfsr_run(lfsr_build(GfPolynomial.from_powers([0, 1, 3])), 1, steps)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_lfsr_from_polynomial():

@@ -6,6 +6,7 @@ import pytest
 from vlsidesk.errors import InfeasibleError, InputError, SizeError
 from vlsidesk.timing import (
     LATCH_STAGE_LIMIT,
+    RIPPLE_BLOCK_LIMIT,
     LatchPipeline,
     RegEdge,
     RingSpec,
@@ -156,6 +157,14 @@ def test_ripple_chain_eight_blocks():
     assert res["s_stable"][6] == pytest.approx(6.0)
     assert res["bout_stable"][7] == pytest.approx(5.5)
     assert res["critical_delay"] == pytest.approx(6.5)
+
+
+@pytest.mark.parametrize("n_blocks", [RIPPLE_BLOCK_LIMIT + 1, int(1e308)])
+def test_ripple_blocks_beyond_the_bound_are_a_size_error(n_blocks):
+    t0 = time.perf_counter()
+    with pytest.raises(SizeError, match="ripple chain bound"):
+        ripple_chain(RippleArcs(1.0, 1.0, 1.0, 1.0, n_blocks))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_ripple_chain_single_block():
