@@ -9,19 +9,12 @@ units of the minimum-width nMOS channel resistance.
 
 import math
 
-from . import Record, boolexpr
+from . import Record
 from .errors import DesignError, DomainError, InputError, SizeError
-from .gates import (
-    RESISTANCE_INPUT_LIMIT,
-    CompoundGate,
-    Parallel,
-    Switch,
-    _read_once_resistances,
-    _resistance,
-    _switches,
-    network_inputs,
-    network_table,
-)
+
+# Only template derivation, ``derive_template`` and its helpers, uses
+# ``gates`` and ``boolexpr``: each helper imports them when it is called, so
+# the other analyses never load them.
 
 RHO_DEFAULT = 3.59  # optimum stage effort for p_inv = 1, Cd = Cg
 
@@ -85,6 +78,9 @@ def _pull_resistances(drive_net, oppose, mu, rho_drive):
     completes the transition: the effective resistance then rises with the
     drive resistance, so each maximum lies where the drive's does.
     """
+    from . import boolexpr
+    from .gates import (RESISTANCE_INPUT_LIMIT, _read_once_resistances, _resistance,
+                        network_inputs, network_table)
     switches = network_inputs(drive_net)
     names = sorted(set(switches))
     if len(names) > RESISTANCE_INPUT_LIMIT:
@@ -130,14 +126,19 @@ def _pull_resistances(drive_net, oppose, mu, rho_drive):
 
 
 def _output_adjacent_width(net):
-    if isinstance(net, Switch):
-        return net.width
-    if isinstance(net, Parallel):
-        return sum(_output_adjacent_width(c) for c in net.children)
-    return _output_adjacent_width(net.children[0])
+    from .gates import Parallel, Switch
+
+    def width(n):
+        if isinstance(n, Switch):
+            return n.width
+        if isinstance(n, Parallel):
+            return sum(width(c) for c in n.children)
+        return width(n.children[0])
+    return width(net)
 
 
 def _input_caps(gate):
+    from .gates import Switch
     caps = {}
     nets = [gate.pdn] + ([] if isinstance(gate.pun, PullupLoad) else [gate.pun])
     for net in nets:
@@ -151,7 +152,7 @@ def _input_caps(gate):
     return caps
 
 
-def derive_template(gate: CompoundGate, reference: CompoundGate,
+def derive_template(gate: "CompoundGate", reference: "CompoundGate",
                     cd_over_cg: float = 1.0, name: str = "") -> GateTemplate:
     """Per-input logical effort and parasitic delay of a sized gate.
 
@@ -214,6 +215,7 @@ def _check_networks(gate, reference):
     inputs; DomainError when a drive resistance (rho / width of a switch or
     of a pull-up load) is not positive and finite, or its conductance is not
     finite, as no transition completes through it."""
+    from .gates import _switches, network_inputs
     for who, g in (("gate", gate), ("reference", reference)):
         if not isinstance(g.pun, PullupLoad):
             down, up = set(network_inputs(g.pdn)), set(network_inputs(g.pun))

@@ -4,7 +4,6 @@ insertion, optimal inverter chains, and inverter output slew."""
 import math
 
 from . import Record
-from .device import MosDevice, square_law_current, threshold_voltage
 from .errors import DomainError, InputError
 
 _REL_TOL = 1e-9
@@ -240,15 +239,18 @@ def inverter_chain_plan(f: float, cd_over_cg: float = 1.0) -> dict:
     return {"alpha": alpha, "total_inverters": total}
 
 
-def output_slew(dev: MosDevice, c_load: float, v_dd: float,
+def output_slew(dev: "MosDevice", c_load: float, v_dd: float,
                 v_from_pct: float = 0.9, v_to_pct: float = 0.1,
                 method: str = "acc", i_avg: float = None) -> float:
     """Falling-output transition time between two V_DD fractions.
 
     ``acc`` divides the charge by the mean of the endpoint currents,
     ``diff`` integrates C*dV/I(V) exactly across the saturation and
-    linear regions, ``avg_current`` uses a supplied mean current.
+    linear regions, ``avg_current`` uses a supplied mean current. A
+    transition time that is not positive and finite, as when the currents
+    underflow or overflow, is a DomainError.
     """
+    from .device import square_law_current, threshold_voltage  # only this analysis needs them
     if not 0.0 < v_to_pct < v_from_pct <= 1.0:
         raise InputError("need 0 < v_to_pct < v_from_pct <= 1")
     if c_load <= 0 or v_dd <= 0:
@@ -257,7 +259,7 @@ def output_slew(dev: MosDevice, c_load: float, v_dd: float,
     if method == "avg_current":
         if not i_avg or i_avg <= 0:
             raise InputError("avg_current method needs a positive i_avg")
-        return c_load * (v_hi - v_lo) / i_avg
+        return _slew_time(c_load * (v_hi - v_lo) / i_avg)
 
     k = dev.k_prime * dev.wl_ratio
     v_ov = v_dd - abs(threshold_voltage(dev, 0.0))
@@ -271,15 +273,25 @@ def output_slew(dev: MosDevice, c_load: float, v_dd: float,
         i_mean = 0.5 * (current(v_hi) + current(v_lo))
         if i_mean <= 0:
             raise DomainError("no discharge current at either endpoint")
-        return c_load * (v_hi - v_lo) / i_mean
+        return _slew_time(c_load * (v_hi - v_lo) / i_mean)
     if method == "diff":
+        i_hi, i_lo = current(v_hi), current(v_lo)
+        if not (0.0 < i_hi < math.inf and 0.0 < i_lo < math.inf):
+            raise DomainError(f"the discharge current is not positive and finite at both "
+                              f"endpoints: {i_hi:g} A at {v_hi:g} V, {i_lo:g} A at {v_lo:g} V")
         t = 0.0
         if v_hi > v_ov:  # constant saturation current above v_ov
-            t += c_load * (v_hi - max(v_lo, v_ov)) / current(v_hi)
+            t += c_load * (v_hi - max(v_lo, v_ov)) / i_hi
         top = min(v_hi, v_ov)
         if v_lo < top:   # closed-form 1/I integral through the linear region
             a = v_ov
             t += c_load / (k * a) * (math.log(top / (2 * a - top))
                                      - math.log(v_lo / (2 * a - v_lo)))
-        return t
+        return _slew_time(t)
     raise InputError(f"unknown slew method {method!r}")
+
+
+def _slew_time(t):
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"the transition time {t:g} s is not positive and finite")
+    return t

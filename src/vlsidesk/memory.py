@@ -9,7 +9,6 @@ Cell KCL ignores body effect; where a bias-dependent threshold matters
 import math
 
 from . import Record
-from .device import MosDevice, bias_point
 from .errors import DomainError, InfeasibleError, InputError, SolverError
 
 
@@ -93,11 +92,12 @@ def cell_node_voltage(cell: SramCell, mode: str) -> dict:
     return {"v_node": v, "discarded_root": hi, "regions": region_note}
 
 
-def access_sizing(fixed: MosDevice, fixed_bias: tuple,
-                  unknown: MosDevice, unknown_bias: tuple) -> dict:
+def access_sizing(fixed: "MosDevice", fixed_bias: tuple,
+                  unknown: "MosDevice", unknown_bias: tuple) -> dict:
     """W/L of ``unknown`` equalizing its current with ``fixed`` at the trip
     point. Biases are (v_gs, v_ds, v_sb) source-referenced magnitudes;
     body effect applies wherever gamma is set on the device."""
+    from .device import MosDevice, bias_point  # no other analysis here needs device
     op_fixed = bias_point(fixed, *fixed_bias)
     if op_fixed.i_d <= 0:
         raise InfeasibleError("reference device carries no current at the trip point")

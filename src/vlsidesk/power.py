@@ -6,7 +6,7 @@ import functools
 import itertools
 import math
 
-from . import Record, boolexpr
+from . import Record
 from .errors import DomainError, InputError, SizeError
 
 ENUMERATION_LIMIT = 24
@@ -43,6 +43,7 @@ def signal_probability(expr, probabilities) -> dict:
     along the sorted variables, plus the random-cycle activity
     beta = 2 p (1-p). Inputs are taken spatially and temporally
     independent."""
+    from . import boolexpr  # no other analysis here needs boolexpr
     if isinstance(expr, str):
         expr = boolexpr.parse_expr(expr)
     names = expr.variables()
@@ -117,7 +118,7 @@ def voltage_scaling_factors(v_from: float, v_to: float, v_t: float) -> dict:
         switching = (v_from / v_to) ** 2
         sc = (v_from * (v_from - 2 * v_t) ** 2) / (v_to * (v_to - 2 * v_t) ** 2) \
             if v_to > 2.0 * v_t else 0.0
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # v_to and the threshold term underflow
         switching = sc = math.inf
     if not (math.isfinite(switching) and math.isfinite(sc)):
         raise DomainError("voltage scaling factors are not finite numbers")

@@ -16,6 +16,13 @@ from .errors import InputError, NetlistError, SizeError
 ATPG_INPUT_LIMIT = 20
 LFSR_PERIOD_LIMIT = 24
 LFSR_STEP_LIMIT = 100_000
+LFSR_DEGREE_LIMIT = 256
+
+
+def _check_degree(degree):
+    """SizeError above LFSR_DEGREE_LIMIT: an LFSR stores an n x n matrix."""
+    if degree > LFSR_DEGREE_LIMIT:
+        raise SizeError(f"degree {degree} exceeds the LFSR degree bound of {LFSR_DEGREE_LIMIT}")
 
 
 class GfPolynomial(Record):
@@ -23,6 +30,7 @@ class GfPolynomial(Record):
     _fields = ("coeffs",)
 
     def __init__(self, coeffs):
+        _check_degree(len(coeffs) - 1)
         coeffs = tuple(int(c) & 1 for c in coeffs)
         if len(coeffs) < 2:
             raise InputError("polynomial needs degree >= 1")
@@ -37,6 +45,7 @@ class GfPolynomial(Record):
         if any(p < 0 for p in powers):
             raise InputError("polynomial powers must be >= 0")
         degree = max(powers)
+        _check_degree(degree)
         coeffs = [0] * (degree + 1)
         for p in powers:
             coeffs[p] = 1

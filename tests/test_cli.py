@@ -351,6 +351,12 @@ DEFECT_CASES = [
     ("mos_capacitances", {"w": 1, "l": 1, "region": "cutoff", "c_ox": "1m", "n_d": 1.5,
                           "n_a_sub": 1e16, "y": "1u"}, 2, "analysis_error"),
     ("design_fork", {"c_in_total": 1, "branch_load": 1e308}, 2, "analysis_error"),
+    ("voltage_scaling_factors", {"v_from": 1.0, "v_to": 1e-320, "v_t": 0},
+     2, "analysis_error"),
+    ("output_slew", {"c_load": "10p", "v_dd": 3, "method": "diff", "k_prime": "50u",
+                     "vt0": 0.7, "w": 1e-320, "l": 1}, 2, "analysis_error"),
+    ("lfsr", {"powers": [0, 3, 2**70], "seed": 1}, 2, "analysis_error"),
+    ("lfsr", {"coeffs": [1] * 258}, 2, "analysis_error"),
 ]
 
 

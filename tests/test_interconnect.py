@@ -260,6 +260,27 @@ def test_slew_device_off():
         output_slew(dev, 1e-12, 1.2, method="diff")
 
 
+def test_slew_underflowing_current_is_domain_error():
+    # the square-law current of a subnormal width underflows to 0
+    dev = MosDevice(k_prime=50e-6, vt0=0.7, w=1e-320, l=1)
+    with pytest.raises(DomainError, match="not positive and finite at both endpoints"):
+        output_slew(dev, 10e-12, 3.0, method="diff")
+
+
+@pytest.mark.parametrize("w,c_load", [(1e-316, 10e-12), (1e303, 1e-300)])
+@pytest.mark.parametrize("method", ["acc", "diff"])
+def test_slew_time_that_overflows_or_underflows_is_domain_error(w, c_load, method):
+    # positive, finite currents that give an infinite or a zero transition time
+    dev = MosDevice(k_prime=50e-6, vt0=0.7, w=w, l=1)
+    with pytest.raises(DomainError, match="transition time"):
+        output_slew(dev, c_load, 3.0, method=method)
+
+
+def test_slew_supplied_tiny_average_current_is_domain_error():
+    with pytest.raises(DomainError, match="transition time inf"):
+        output_slew(MosDevice(), 1.0, 1.0, method="avg_current", i_avg=1e-320)
+
+
 def ode_fall_time(dev, c, v_dd, v_hi, v_lo, steps=200000):
     """Backward reference: integrate C dV/dt = -I(V) with small fixed steps."""
     from vlsidesk.device import square_law_current

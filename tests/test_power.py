@@ -230,6 +230,12 @@ def test_voltage_scaling_infinite_sc():
     assert math.isinf(res["short_circuit_reduction"])
 
 
+def test_voltage_scaling_underflowing_denominator_is_domain_error():
+    # v_to * (v_to - 2 v_t)^2 underflows to 0 for a subnormal v_to
+    with pytest.raises(DomainError, match="not finite"):
+        voltage_scaling_factors(1.0, 1e-320, 0.0)
+
+
 def test_leakage_stack():
     res = leakage_stack(1e-9, 0.1, 0.1, 1.0)
     assert res["v_x"] == pytest.approx(11 / 12)

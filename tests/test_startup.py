@@ -1,6 +1,7 @@
 """Start-up of the CLI, each check in a fresh interpreter: a valid case never
 imports jsonschema, argparse, dataclasses or inspect, and only the analysis
-modules a case uses are loaded, ``vlsidesk.device`` among them."""
+modules a case uses are loaded, ``vlsidesk.device`` among them. A run
+compiles ``cli.py`` once and the adapter module of its own family only."""
 
 import json
 import os
@@ -39,14 +40,20 @@ sys.stderr.write(json.dumps({"exit": code,
 
 
 @pytest.mark.parametrize("case,modules", [
-    ("device_general_scaling", {"vlsidesk.device"}),
-    ("timing_ring_design", {"vlsidesk.timing"}),
-    ("interconnect_wire_rc_m1", {"vlsidesk.interconnect", "vlsidesk.device"}),
-    ("test_atpg_smallest_vector", {"vlsidesk.testability", "vlsidesk.boolexpr"}),
-    ("effort_nand_path_f64", {"vlsidesk.effort", "vlsidesk.gates", "vlsidesk.boolexpr"}),
-    ("device_pass_gate_caps", {"vlsidesk.device"}),
-    ("interconnect_slew_acc", {"vlsidesk.interconnect", "vlsidesk.device"}),
-    ("memory_access_sizing", {"vlsidesk.memory", "vlsidesk.device"}),
+    ("device_general_scaling", {"vlsidesk.cli_device", "vlsidesk.device"}),
+    ("timing_ring_design", {"vlsidesk.cli_timing", "vlsidesk.timing"}),
+    ("interconnect_wire_rc_m1", {"vlsidesk.cli_interconnect", "vlsidesk.interconnect"}),
+    ("test_atpg_smallest_vector", {"vlsidesk.cli_testability", "vlsidesk.testability",
+                                   "vlsidesk.boolexpr"}),
+    ("effort_nand_path_f64", {"vlsidesk.cli_effort", "vlsidesk.effort"}),
+    ("device_pass_gate_caps", {"vlsidesk.cli_device", "vlsidesk.device"}),
+    ("interconnect_slew_acc", {"vlsidesk.cli_interconnect", "vlsidesk.interconnect",
+                               "vlsidesk.device"}),
+    ("memory_access_sizing", {"vlsidesk.cli_memory", "vlsidesk.memory", "vlsidesk.device"}),
+    ("memory_bitline", {"vlsidesk.cli_memory", "vlsidesk.memory"}),
+    ("power_gray_code", {"vlsidesk.cli_power", "vlsidesk.power"}),
+    ("effort_template_nand_reference", {"vlsidesk.cli_effort", "vlsidesk.effort",
+                                        "vlsidesk.gates", "vlsidesk.boolexpr"}),
 ])
 def test_valid_run_loads_only_its_analysis_and_no_jsonschema(case, modules):
     proc = fresh_python(LOADED, str(CASES_DIR / f"{case}.json"), *NEVER)
@@ -67,14 +74,85 @@ sys.stderr.write(json.dumps({"exits": sorted(set(codes)),
 """
 
 
-def test_cases_outside_device_interconnect_and_memory_never_load_device():
-    # timing, power, gates, effort and testability import no device model,
-    # and no case imports dataclasses or inspect
-    paths = sorted(str(p) for p in CASES_DIR.glob("*.json")
-                   if p.name.split("_")[0] in ("timing", "power", "gates", "effort", "test"))
-    assert len(paths) == 53
+def test_cases_that_need_no_device_model_never_load_device():
+    # only the device analyses, output_slew and access_sizing read the device
+    # model, and no case imports dataclasses or inspect
+    analyses = {p: load_case(p.stem)["analysis"] for p in CASES_DIR.glob("*.json")}
+    paths = sorted(str(p) for p, a in analyses.items()
+                   if cli.FAMILY[a] != "device" and a not in ("output_slew", "access_sizing"))
+    assert len(paths) == 70
     proc = fresh_python(RUN_ALL, *paths)
     assert json.loads(proc.stderr) == {"exits": [0], "loaded": []}
+
+
+COMPILES = """
+import json, os, runpy, sys
+from importlib.machinery import SourceFileLoader
+
+compiled = []
+source_to_code = SourceFileLoader.source_to_code
+
+def counting(self, data, path, *args, **kwargs):
+    compiled.append(path)
+    return source_to_code(self, data, path, *args, **kwargs)
+
+SourceFileLoader.source_to_code = counting
+sys.argv[1:] = ["run", sys.argv[1]]
+try:
+    runpy.run_module("vlsidesk.cli", run_name="__main__", alter_sys=True)
+except SystemExit as e:
+    code = e.code
+sys.stdout.flush()
+sys.stderr.write(json.dumps({"exit": code, "compiled": [
+    os.path.basename(p) for p in compiled
+    if os.path.basename(os.path.dirname(p)) == "vlsidesk"]}))
+"""
+
+
+@pytest.mark.parametrize("case", ["device_general_scaling", "gates_euler_ordering",
+                                  "interconnect_slew_diff", "effort_template_ratioed",
+                                  "timing_ring_design", "power_signal_prob_sop",
+                                  "memory_access_sizing", "test_lfsr_primitive"])
+def test_module_run_compiles_cli_once_and_one_adapter_module(case, tmp_path):
+    # an empty bytecode cache makes every import compile its source, as in
+    # a checkout that was never byte-compiled
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
+                                                        os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", COMPILES, str(CASES_DIR / f"{case}.json")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    seen = json.loads(proc.stderr)
+    family = cli.FAMILY[load_case(case)["analysis"]]
+    assert seen["exit"] == 0
+    assert sorted(f for f in seen["compiled"] if f.startswith("cli")) == [
+        "cli.py", f"cli_{family}.py"]
+    assert len(seen["compiled"]) == len(set(seen["compiled"]))
+    assert proc.stdout == cli.render_json(cli.run_case(load_case(case)))
+
+
+REGISTERS = """
+import importlib, json, sys
+from vlsidesk import cli
+assert "lfsr" in cli.REGISTRY and "nope" not in cli.REGISTRY and len(cli.REGISTRY) == 47
+listed = list(cli.REGISTRY)
+untouched = sorted(m for m in sys.modules if m.startswith("vlsidesk.cli_"))
+added = {}
+for family in dict.fromkeys(cli.FAMILY.values()):
+    before = len(cli._ENTRIES)
+    importlib.import_module(f"vlsidesk.cli_{family}")
+    added[family] = list(cli._ENTRIES)[before:]
+print(json.dumps({"listed": listed, "untouched": untouched, "added": added,
+                  "all": list(cli._ENTRIES)}))
+"""
+
+
+def test_family_modules_register_exactly_the_family_table():
+    seen = json.loads(fresh_python(REGISTERS).stdout)
+    assert seen["listed"] == seen["all"] == list(cli.FAMILY)
+    assert seen["untouched"] == []  # in, len and iteration import no adapter module
+    assert seen["added"] == {family: [n for n, f in cli.FAMILY.items() if f == family]
+                             for family in dict.fromkeys(cli.FAMILY.values())}
+    assert list(cli.REGISTRY.items()) == [(n, cli.REGISTRY[n]) for n in cli.FAMILY]
 
 
 def test_import_vlsidesk_loads_no_analysis_module():
@@ -117,13 +195,18 @@ print(json.dumps({"alive": any(t.is_alive() for t in threads), "out": out}))
 
 
 def test_concurrent_first_use_of_different_analyses():
-    # pairs of analyses in one module; effort, testability and power all
-    # import boolexpr on first use, and the device and interconnect cases
-    # both build a schema read off vlsidesk.device on first use
+    # pairs of analyses in one module, so two threads import one adapter
+    # module while others import the adapter modules of other families;
+    # effort, testability and power all import boolexpr on first use, and
+    # the device, interconnect and memory cases all read vlsidesk.device
     names = ["effort_template_nand_reference", "effort_nand_path_f64",
              "test_atpg_smallest_vector", "test_lfsr_primitive",
              "power_signal_prob_sop", "power_gray_code",
-             "device_pass_gate_caps", "interconnect_slew_acc"]
+             "device_pass_gate_caps", "interconnect_slew_acc",
+             "device_general_scaling", "interconnect_wire_rc_m1",
+             "memory_access_sizing", "memory_bitline",
+             "timing_ring_design", "timing_dff_margins",
+             "gates_euler_ordering", "gates_charge_share_domino"]
     cases = [load_case(n) for n in names]
     want = [cli.render_json(cli.run_case(c)) for c in cases]
     for _ in range(3):

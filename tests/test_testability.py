@@ -6,6 +6,7 @@ import pytest
 
 from vlsidesk.errors import InputError, NetlistError, SizeError
 from vlsidesk.testability import (
+    LFSR_DEGREE_LIMIT,
     LFSR_STEP_LIMIT,
     Gate,
     GateNetlist,
@@ -25,6 +26,22 @@ def test_lfsr_steps_beyond_the_bound_are_a_size_error(steps):
     with pytest.raises(SizeError, match="LFSR run bound"):
         lfsr_run(lfsr_build(GfPolynomial.from_powers([0, 1, 3])), 1, steps)
     assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("degree", [LFSR_DEGREE_LIMIT + 1, 2**70])
+def test_lfsr_degree_beyond_the_bound_is_a_size_error(degree):
+    t0 = time.perf_counter()
+    with pytest.raises(SizeError, match="LFSR degree bound"):
+        GfPolynomial.from_powers([0, 3, degree])
+    if degree == LFSR_DEGREE_LIMIT + 1:
+        with pytest.raises(SizeError, match="LFSR degree bound"):
+            GfPolynomial((1,) * (degree + 1))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_lfsr_degree_at_the_bound_builds():
+    lfsr = lfsr_build(GfPolynomial.from_powers([0, 3, LFSR_DEGREE_LIMIT]))
+    assert lfsr.n == LFSR_DEGREE_LIMIT == len(lfsr.matrix) >= 28
 
 
 def test_lfsr_from_polynomial():
