@@ -13,10 +13,11 @@ import collections.abc
 import functools
 import importlib
 import json
+import math
 import numbers
 import sys
 
-from .errors import QuantityError, VlsiError
+from .errors import DomainError, QuantityError, VlsiError
 from .units import format_number, parse_quantity
 
 if __name__ == "__main__":  # python -m: the adapter modules import this module by name
@@ -110,51 +111,15 @@ def _take(res, **units):
     return [(k, res[k], u) for k, u in units.items() if k in res]
 
 
-@functools.cache
-def _mos_fields():
-    """Schema name -> MosDevice field; the schema drops the trailing "_" of ``lambda_``."""
-    from . import device
-    return {f.rstrip("_"): f for f in device.MosDevice._fields}
-
-
-def _device_props(**more):
-    """The MosDevice fields as schema properties, followed by ``more``."""
-    return {**{k: {"enum": ["nmos", "pmos"]} if k == "polarity" else NUM
-               for k in _mos_fields()}, **more}
-
-
-def _mos_device(params):
-    """Split ``params`` into a MosDevice and the params that are not device
-    fields (schema ``lambda`` and ``wl`` are the fields ``lambda_`` and ``w``)."""
-    from . import device
-    fields = {**_mos_fields(), "wl": "w"}
-    dev = device.MosDevice(**{fields[k]: v for k, v in params.items() if k in fields})
-    return dev, {k: v for k, v in params.items() if k not in fields}
-
-
-class _Entry(dict):
-    """A REGISTRY entry, ``{"schema": ..., "run": ...}``, whose schema
-    ``build`` makes on its first read."""
-
-    def __init__(self, build, run):
-        super().__init__(run=run)
-        self.build = build
-
-    def __missing__(self, key):
-        if key != "schema":
-            raise KeyError(key)
-        return self.setdefault(key, self.build())  # of threads that race, one wins
-
-
 # The analysis ids of each family, in the order their adapters register;
-# the adapters of family f live in ``cli_f.py``.
+# the adapters of family f live in ``cli_f.py``. The device family also holds
+# output_slew and access_sizing, the other analyses that take a MosDevice.
 _FAMILIES = {
     "device": ("threshold_voltage", "bias_point", "mos_capacitances", "scale_factors",
-               "inverter_vtc", "noise_margins"),
+               "inverter_vtc", "noise_margins", "output_slew", "access_sizing"),
     "gates": ("compound_gate", "delay_bounds", "common_euler_ordering",
               "charge_share_voltage", "evaluate_network"),
-    "interconnect": ("elmore", "wire_rc", "buffered_wire_delay", "inverter_chain_plan",
-                     "output_slew"),
+    "interconnect": ("elmore", "wire_rc", "buffered_wire_delay", "inverter_chain_plan"),
     "effort": ("derive_template", "nand_nor_effort", "path_delay", "optimize_path",
                "design_fork"),
     "timing": ("check_timing", "pipeline_metrics", "ripple_chain", "ring_analyze",
@@ -162,13 +127,13 @@ _FAMILIES = {
     "power": ("signal_probability", "switching_power", "short_circuit_power",
               "voltage_scaling_factors", "leakage_stack", "adiabatic_energy", "bus_split",
               "gray_code"),
-    "memory": ("cell_node_voltage", "access_sizing", "load_resistor_bound", "bitline_model",
+    "memory": ("cell_node_voltage", "load_resistor_bound", "bitline_model",
                "blocked_read_delay", "decoder_cost", "address_decode"),
     "testability": ("lfsr", "logic_simulate", "fault_simulate", "atpg"),
 }
 FAMILY = {name: family for family, names in _FAMILIES.items() for name in names}
 
-_ENTRIES = {}  # analysis id -> _Entry, as the adapter modules register them
+_ENTRIES = {}  # analysis id -> registry entry, as the adapter modules register them
 
 
 class _Registry(collections.abc.Mapping):
@@ -199,15 +164,11 @@ REGISTRY = _Registry()
 
 def analysis(name, props, required, **more):
     """Register the decorated adapter as ``name``. ``props`` are the schema's
-    properties, or a function that returns them when they are read off
-    ``device``; ``more`` are further schema keywords. A schema is built when
-    first read, so only the cases that use ``device`` load it."""
+    properties and ``more`` further schema keywords."""
     def wrap(fn):
-        _ENTRIES[name] = _Entry(
-            lambda: {**_schema(props() if callable(props) else props, required), **more}, fn)
+        _ENTRIES[name] = {"schema": {**_schema(props, required), **more}, "run": fn}
         return fn
     return wrap
-
 
 
 # --- case handling ----------------------------------------------------------
@@ -251,8 +212,8 @@ _TYPES = {  # Draft 2020-12 types as jsonschema tells them apart
     "string": lambda x: isinstance(x, str),
 }
 _KEYWORDS = {"type", "properties", "required", "additionalProperties", "items",
-             "prefixItems", "minItems", "maxItems", "enum", "const", "oneOf", "anyOf",
-             "$ref", "$defs"}
+             "prefixItems", "minItems", "maxItems", "enum", "const", "oneOf", "$ref",
+             "$defs"}
 
 
 class _Reject(Exception):
@@ -367,19 +328,6 @@ def _one_of(branches):
     return step
 
 
-def _any_of(branches):
-    """``x`` unchanged when a branch accepts it."""
-    def step(x, bad):
-        for branch in branches:
-            try:
-                branch(x, [])
-            except _Reject:
-                continue
-            return x
-        raise _Reject
-    return step
-
-
 def _compile(schema, root, refs):
     """The walk of ``schema``, a part of the document ``root`` whose
     ``$defs`` its ``$ref``s name; ``refs`` maps each ``$ref`` met so far to
@@ -431,8 +379,6 @@ def _compile(schema, root, refs):
                             kinds == ["array"]))
     if "oneOf" in schema:
         steps.append(_one_of([sub(s) for s in schema["oneOf"]]))
-    if "anyOf" in schema:
-        steps.append(_any_of([sub(s) for s in schema["anyOf"]]))
     if len(steps) <= 1:
         return steps[0] if steps else _accept
 
@@ -486,11 +432,27 @@ def validate_case(case) -> str:
     return _walk_case(case)[0]
 
 
+_NEVER_INFINITE = {int, bool, str, type(None)}
+
+
+def _finite(x):
+    """Whether every float in ``x``, nested lists, tuples and dicts included,
+    is finite. A container of plain scalars is checked in one pass."""
+    if isinstance(x, float):
+        return math.isfinite(x)
+    if isinstance(x, dict):
+        x = x.values()
+    elif not isinstance(x, (list, tuple)):
+        return True
+    return set(map(type, x)) <= _NEVER_INFINITE or all(map(_finite, x))
+
+
 def run_case(case) -> dict:
     """Validate and execute one case, returning the report dict. Adapters get
     every NUM field as a float; the report echoes the params as given. Once
     the schemas accept the case, the first quantity in document order that
-    does not parse raises QuantityError."""
+    does not parse raises QuantityError; a result that holds an infinite or
+    NaN float raises DomainError."""
     name, params, bad = _walk_case(case)
     if bad:
         raise bad[0]
@@ -498,6 +460,9 @@ def run_case(case) -> dict:
         results, diagnostics = REGISTRY[name]["run"](params)
     except KeyError as e:
         raise CaseError(f"params missing field {e}") from e
+    for k, v, _ in results:
+        if not _finite(v):
+            raise DomainError(f"result {k} is not finite")
     return {
         "schema": SCHEMA_VERSION,
         "analysis": name,

@@ -1,20 +1,37 @@
-"""CLI adapters of the MOS device analyses.
+"""CLI adapters of the MOS device analyses, and of ``output_slew`` and
+``access_sizing``, the other analyses that take a MosDevice.
 
 ``cli.REGISTRY`` imports this module when one of them is first looked up."""
 
 from . import device
-from .cli import NUM, _device_props, _mos_device, _take, analysis
+from .cli import NUM, _take, analysis
+
+# schema name -> MosDevice field; the schema drops the trailing "_" of ``lambda_``
+_MOS_FIELDS = {f.rstrip("_"): f for f in device.MosDevice._fields}
 
 
-@analysis("threshold_voltage",
-          lambda: _device_props(v_sb=NUM), ["vt0", "v_sb"])
+def _device_props(**more):
+    """The MosDevice fields as schema properties, followed by ``more``."""
+    return {**{k: {"enum": ["nmos", "pmos"]} if k == "polarity" else NUM
+               for k in _MOS_FIELDS}, **more}
+
+
+def _mos_device(params):
+    """Split ``params`` into a MosDevice and the params that are not device
+    fields (schema ``lambda`` and ``wl`` are the fields ``lambda_`` and ``w``)."""
+    fields = {**_MOS_FIELDS, "wl": "w"}
+    dev = device.MosDevice(**{fields[k]: v for k, v in params.items() if k in fields})
+    return dev, {k: v for k, v in params.items() if k not in fields}
+
+
+@analysis("threshold_voltage", _device_props(v_sb=NUM), ["vt0", "v_sb"])
 def _run_threshold(params):
     dev, rest = _mos_device(params)
     return [("v_t", device.threshold_voltage(dev, **rest), "V")], []
 
 
 @analysis("bias_point",
-          lambda: _device_props(v_gs=NUM, v_ds=NUM, v_sb=NUM),
+          _device_props(v_gs=NUM, v_ds=NUM, v_sb=NUM),
           ["k_prime", "vt0", "w", "l", "v_gs", "v_ds"])
 def _run_bias(params):
     dev, rest = _mos_device(params)
@@ -22,8 +39,7 @@ def _run_bias(params):
 
 
 @analysis("mos_capacitances",
-          lambda: _device_props(region={"enum": ["cutoff", "linear", "saturation"]},
-                                v_reverse=NUM),
+          _device_props(region={"enum": ["cutoff", "linear", "saturation"]}, v_reverse=NUM),
           ["w", "l", "region"])
 def _run_caps(params):
     dev, rest = _mos_device(params)
@@ -41,10 +57,10 @@ def _run_scale(params):
 
 
 @analysis("inverter_vtc",
-          lambda: {"config": {"enum": list(device.INVERTER_ELEMENTS)},
-                   "v_dd": NUM, "k_n": NUM, "vt_n": NUM, "k_p": NUM, "vt_p": NUM,
-                   "k_driver": NUM, "vt_driver": NUM, "k_load": NUM, "vt_load": NUM,
-                   "r_load": NUM},
+          {"config": {"enum": list(device.INVERTER_ELEMENTS)},
+           "v_dd": NUM, "k_n": NUM, "vt_n": NUM, "k_p": NUM, "vt_p": NUM,
+           "k_driver": NUM, "vt_driver": NUM, "k_load": NUM, "vt_load": NUM,
+           "r_load": NUM},
           ["config", "v_dd"])
 def _run_vtc(params):
     res = device.inverter_vtc(**params)
@@ -59,3 +75,26 @@ def _run_vtc(params):
           ["driver", "receiver"])
 def _run_nm(params):
     return _take(device.noise_margins(**params), nm_l="V", nm_h="V"), []
+
+
+@analysis("output_slew",
+          _device_props(c_load=NUM, v_dd=NUM, v_from_pct=NUM, v_to_pct=NUM,
+                        method={"enum": ["acc", "diff", "avg_current"]}, i_avg=NUM),
+          ["c_load", "v_dd", "method"])
+def _run_slew(params):
+    from . import interconnect  # no other analysis here needs it
+    dev, rest = _mos_device(params)
+    return [("t", interconnect.output_slew(dev, **rest), "s")], []
+
+
+_BIAS_DEV = {"$ref": "#/$defs/bias_device"}
+
+
+@analysis("access_sizing",
+          {"fixed": _BIAS_DEV, "unknown": _BIAS_DEV}, ["fixed", "unknown"])
+def _run_access_sizing(params):
+    from . import memory  # no other analysis here needs it
+    fixed, fixed_rest = _mos_device(params["fixed"])
+    unknown, unknown_rest = _mos_device(params["unknown"])
+    res = memory.access_sizing(fixed, fixed_rest["bias"], unknown, unknown_rest["bias"])
+    return _take(res, wl="", i_balance="A"), [f"regions: {res['regions']}"]

@@ -3,7 +3,7 @@
 ``cli.REGISTRY`` imports this module when one of them is first looked up."""
 
 from . import interconnect
-from .cli import INT, NUM, STR, _device_props, _mos_device, _pick, _schema, _take, analysis
+from .cli import INT, NUM, STR, _pick, _schema, _take, analysis
 
 
 @analysis("elmore",
@@ -68,15 +68,3 @@ def _run_buffered(params):
 def _run_chain(params):
     return _take(interconnect.inverter_chain_plan(**params),
                  alpha="", total_inverters=""), []
-
-
-@analysis("output_slew",
-          lambda: _device_props(c_load=NUM, v_dd=NUM, v_from_pct=NUM, v_to_pct=NUM,
-                                method={"enum": ["acc", "diff", "avg_current"]},
-                                i_avg=NUM),
-          ["c_load", "v_dd", "method"])
-def _run_slew(params):
-    from . import device  # only this interconnect analysis reads the device model
-    dev, rest = _mos_device(params)
-    dev = dev if "k_prime" in params else device.MosDevice()
-    return [("t", interconnect.output_slew(dev, **rest), "s")], []

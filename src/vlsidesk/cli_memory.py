@@ -3,7 +3,7 @@
 ``cli.REGISTRY`` imports this module when one of them is first looked up."""
 
 from . import memory
-from .cli import INT, NUM, STR, CaseError, _mos_device, _pick, _take, analysis
+from .cli import INT, NUM, STR, CaseError, _pick, _take, analysis
 from .units import format_number
 
 
@@ -22,18 +22,6 @@ def _run_cell_v(params):
     return [("v_node", res["v_node"], "V")], \
         [f"discarded quadratic root {format_number(res['discarded_root'])} V",
          f"regions: {res['regions']}"]
-
-
-_BIAS_DEV = {"$ref": "#/$defs/bias_device"}
-
-
-@analysis("access_sizing",
-          {"fixed": _BIAS_DEV, "unknown": _BIAS_DEV}, ["fixed", "unknown"])
-def _run_access_sizing(params):
-    fixed, fixed_rest = _mos_device(params["fixed"])
-    unknown, unknown_rest = _mos_device(params["unknown"])
-    res = memory.access_sizing(fixed, fixed_rest["bias"], unknown, unknown_rest["bias"])
-    return _take(res, wl="", i_balance="A"), [f"regions: {res['regions']}"]
 
 
 @analysis("load_resistor_bound",

@@ -10,7 +10,7 @@ from .cli import INT, STR, _take, analysis
           {"powers": {"type": "array", "items": INT, "minItems": 2},
            "coeffs": {"type": "array", "items": INT, "minItems": 2},
            "seed": INT, "steps": INT},
-          [], anyOf=[{"required": ["powers"]}, {"required": ["coeffs"]}])
+          [], oneOf=[{"required": ["powers"]}, {"required": ["coeffs"]}])
 def _run_lfsr(params):
     poly = (testability.GfPolynomial.from_powers(params["powers"]) if "powers" in params
             else testability.GfPolynomial(tuple(params["coeffs"])))

@@ -97,7 +97,7 @@ def access_sizing(fixed: "MosDevice", fixed_bias: tuple,
     """W/L of ``unknown`` equalizing its current with ``fixed`` at the trip
     point. Biases are (v_gs, v_ds, v_sb) source-referenced magnitudes;
     body effect applies wherever gamma is set on the device."""
-    from .device import MosDevice, bias_point  # no other analysis here needs device
+    from .device import MosDevice, bias_point  # only two analyses here need device
     op_fixed = bias_point(fixed, *fixed_bias)
     if op_fixed.i_d <= 0:
         raise InfeasibleError("reference device carries no current at the trip point")
@@ -113,13 +113,13 @@ def access_sizing(fixed: "MosDevice", fixed_bias: tuple,
 def load_resistor_bound(access: CellDevice, pulldown: CellDevice,
                         v_dd: float, v_q_max: float) -> dict:
     """Smallest load resistor keeping the read-disturbed node at or below
-    v_q_max: the linear pulldown must sink the saturated access current
-    plus (V_DD - V_Q)/R_L."""
+    v_q_max: the pulldown must sink the access current plus (V_DD - V_Q)/R_L,
+    each device in the square-law region its bias puts it in."""
+    from .device import square_law_current  # only two analyses here need device
     if not 0 < v_q_max < v_dd:
         raise InputError("need 0 < v_q_max < v_dd")
-    i_access = 0.5 * access.k * (v_dd - v_q_max - access.vt) ** 2
-    ov_p = v_dd - pulldown.vt
-    i_pulldown = 0.5 * pulldown.k * (2.0 * ov_p * v_q_max - v_q_max**2)
+    i_access = square_law_current(access.k, v_dd - v_q_max - access.vt, v_dd - v_q_max)
+    i_pulldown = square_law_current(pulldown.k, v_dd - pulldown.vt, v_q_max)
     margin = i_pulldown - i_access
     if margin <= 0:
         raise InfeasibleError(

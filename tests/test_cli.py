@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from vlsidesk import cli
+from vlsidesk import cli, interconnect
+from vlsidesk.device import MosDevice
 from vlsidesk.errors import QuantityError, VlsiError
 from vlsidesk.units import parse_quantity
 
@@ -88,6 +89,15 @@ def test_registry_entries_keep_their_shape():
     assert list(props)[:3] == ["polarity", "k_prime", "vt0"] and "lambda" in props
     assert cli.REGISTRY["inverter_vtc"]["schema"]["properties"]["config"]["enum"] == [
         "cmos", "depletion_load", "resistive_load", "pseudo_nmos"]
+
+
+@pytest.mark.parametrize("fields", [{"vt0": 1.5}, {"w": 100}])
+def test_output_slew_builds_its_device_from_the_given_fields(fields):
+    params = {"c_load": "10p", "v_dd": 3.0, "method": "acc", **fields}
+    report = cli.run_case({"schema": 1, "analysis": "output_slew", "params": params})
+    t = interconnect.output_slew(MosDevice(**fields), c_load=10e-12, v_dd=3.0, method="acc")
+    assert report["results"]["t"]["value"] == t
+    assert t != interconnect.output_slew(MosDevice(), c_load=10e-12, v_dd=3.0, method="acc")
 
 
 def test_unknown_analysis_exits_1(tmp_path, capsys):
@@ -357,6 +367,15 @@ DEFECT_CASES = [
                      "vt0": 0.7, "w": 1e-320, "l": 1}, 2, "analysis_error"),
     ("lfsr", {"powers": [0, 3, 2**70], "seed": 1}, 2, "analysis_error"),
     ("lfsr", {"coeffs": [1] * 258}, 2, "analysis_error"),
+    ("lfsr", {"powers": [0, 1, 3], "coeffs": [1, 1, 0, 1]}, 1, "invalid_case"),
+    ("wire_rc", {"length": 1e308, "width": 1e-10, "r_sheet": 1}, 2, "analysis_error"),
+    ("pipeline_metrics", {"stage_delays": [1e-320]}, 2, "analysis_error"),
+    ("path_delay", {"stages": [{"g": 1e308, "p": 1}], "c_in": 1e-300, "c_load": 1e300},
+     2, "analysis_error"),
+    ("ripple_chain", {"xy_to_s": 1e308, "xy_to_bout": 1e308, "bin_to_s": 1e308,
+                      "bin_to_bout": 1e308, "n_blocks": 3}, 2, "analysis_error"),
+    ("switching_power", {"loads": [{"c": 1e308, "beta": 2}], "v_dd": 1e308, "f_clk": 1},
+     2, "analysis_error"),
 ]
 
 
@@ -498,7 +517,7 @@ INLINE_MINIMAL = {
 
 def _minimal_params(analysis):
     """Required params only, taken from the first corpus case that runs
-    ``analysis`` (plus the keys of the first ``anyOf`` branch it satisfies)."""
+    ``analysis`` (plus the keys of the ``oneOf`` branch it satisfies)."""
     if analysis in INLINE_MINIMAL:
         return INLINE_MINIMAL[analysis]
     schema = cli.REGISTRY[analysis]["schema"]
@@ -507,7 +526,7 @@ def _minimal_params(analysis):
         if case["analysis"] != analysis:
             continue
         keys = set(schema["required"])
-        for branch in schema.get("anyOf", []):
+        for branch in schema.get("oneOf", []):
             if set(branch["required"]) <= set(case["params"]):
                 keys |= set(branch["required"])
                 break

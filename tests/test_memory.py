@@ -130,6 +130,17 @@ def test_load_resistor_infeasible():
                             v_dd=2.5, v_q_max=0.5)
 
 
+def test_load_resistor_bound_with_the_access_device_off():
+    # v_dd - v_q_max < vt: the access device carries nothing, and the
+    # pulldown (overdrive 0.3 V, v_ds = v_q_max) is saturated
+    access, pulldown = CellDevice(1e-4, 1, 0.7), CellDevice(1e-4, 2, 0.7)
+    for v_q_max in (0.4, 0.6):
+        res = load_resistor_bound(access, pulldown, v_dd=1.0, v_q_max=v_q_max)
+        assert res["i_access"] == 0.0
+        assert res["i_pulldown"] == pytest.approx(0.5 * 2e-4 * 0.3**2, rel=1e-12)
+        assert res["r_min"] == pytest.approx((1.0 - v_q_max) / 9e-6, rel=1e-12)
+
+
 GEOM_256 = BitlineGeometry(rows=256, cell_height=1.5, cell_width=2.0,
                            bl_width=0.2, access_w=0.25, c_d=1e-15,
                            c_pp=0.1e-15, c_fr=0.05e-15, r_sq=0.1)

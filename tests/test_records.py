@@ -6,7 +6,7 @@ import importlib
 
 import pytest
 
-from vlsidesk import Record, cli
+from vlsidesk import Record, cli_device
 from vlsidesk.device import MosDevice, ScalingFactors, VtcResult
 from vlsidesk.gates import Parallel, Series, Switch
 from vlsidesk.interconnect import RcTree
@@ -43,7 +43,7 @@ def test_mos_device_fields_in_order():
     dev = MosDevice(w=2.0, x_j=0.3e-6)
     assert dev.x_j_sw == 0.3e-6            # defaults to x_j
     assert tuple(vars(dev)) == MosDevice._fields
-    assert list(cli._mos_fields()) == [f.rstrip("_") for f in MosDevice._fields]
+    assert list(cli_device._MOS_FIELDS) == [f.rstrip("_") for f in MosDevice._fields]
     assert dev == MosDevice(w=2.0, x_j=0.3e-6, x_j_sw=0.3e-6)
     assert repr(dev).startswith("MosDevice(polarity='nmos', k_prime=0.0001, vt0=0.5, ")
     assert repr(dev).endswith(", y=0.0, m_j=0.5, m_jsw=0.5)")

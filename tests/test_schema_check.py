@@ -122,7 +122,7 @@ TUPLE = {"type": "array", "prefixItems": [STR, NUM], "items": False, "minItems":
     ({"required": ["a"], "additionalProperties": INT}, {"a": 1, "b": "2"}),
     ({"oneOf": [{"required": ["a"]}, {"required": ["b"]}]}, {"a": 1, "b": 2}),
     ({"oneOf": [{"required": ["a"]}, {"required": ["b"]}]}, 7),
-    ({"anyOf": [{"required": ["a"]}, {"required": ["b"]}]}, {"c": 1}),
+    ({"oneOf": [{"required": ["a"]}, {"required": ["b"]}]}, {"c": 1}),
     ({"$defs": {"n": {"type": "array", "items": {"$ref": "#/$defs/n"}}},
       "$ref": "#/$defs/n"}, [[], [[]], [[1]]]),
 ])
@@ -140,10 +140,26 @@ def test_every_registered_schema_compiles():
     {"type": "string", "pattern": "^a"},
     {"properties": {"n": {"type": "integer", "minimum": 0}}},
     {"enum": [[1, 2]]},
+    {"anyOf": [{"required": ["a"]}, {"required": ["b"]}]},
 ])
 def test_unsupported_schema_does_not_compile(schema):
     with pytest.raises(ValueError):
         cli._compile(schema, schema, {})
+
+
+def keywords(schema):
+    """The keywords of ``schema`` and of every schema inside it."""
+    if isinstance(schema, bool):
+        return set()
+    subs = [*schema.get("properties", {}).values(), *schema.get("$defs", {}).values(),
+            *schema.get("prefixItems", []), *schema.get("oneOf", []),
+            *[schema[k] for k in ("items", "additionalProperties") if k in schema]]
+    return set(schema).union(*map(keywords, subs))
+
+
+def test_the_compiler_handles_exactly_the_keywords_the_schemas_use():
+    schemas = [cli.CASE_SCHEMA, *(cli.REGISTRY[name]["schema"] for name in cli.REGISTRY)]
+    assert set().union(*map(keywords, schemas)) == cli._KEYWORDS
 
 
 # --- the walk parses as the separate check-then-parse pair did ----------------

@@ -47,9 +47,9 @@ sys.stderr.write(json.dumps({"exit": code,
                                    "vlsidesk.boolexpr"}),
     ("effort_nand_path_f64", {"vlsidesk.cli_effort", "vlsidesk.effort"}),
     ("device_pass_gate_caps", {"vlsidesk.cli_device", "vlsidesk.device"}),
-    ("interconnect_slew_acc", {"vlsidesk.cli_interconnect", "vlsidesk.interconnect",
+    ("interconnect_slew_acc", {"vlsidesk.cli_device", "vlsidesk.interconnect",
                                "vlsidesk.device"}),
-    ("memory_access_sizing", {"vlsidesk.cli_memory", "vlsidesk.memory", "vlsidesk.device"}),
+    ("memory_access_sizing", {"vlsidesk.cli_device", "vlsidesk.memory", "vlsidesk.device"}),
     ("memory_bitline", {"vlsidesk.cli_memory", "vlsidesk.memory"}),
     ("power_gray_code", {"vlsidesk.cli_power", "vlsidesk.power"}),
     ("effort_template_nand_reference", {"vlsidesk.cli_effort", "vlsidesk.effort",
@@ -75,12 +75,13 @@ sys.stderr.write(json.dumps({"exits": sorted(set(codes)),
 
 
 def test_cases_that_need_no_device_model_never_load_device():
-    # only the device analyses, output_slew and access_sizing read the device
-    # model, and no case imports dataclasses or inspect
+    # only the device family (output_slew and access_sizing among it) and
+    # load_resistor_bound read the device model, and no case imports
+    # dataclasses or inspect
     analyses = {p: load_case(p.stem)["analysis"] for p in CASES_DIR.glob("*.json")}
     paths = sorted(str(p) for p, a in analyses.items()
-                   if cli.FAMILY[a] != "device" and a not in ("output_slew", "access_sizing"))
-    assert len(paths) == 70
+                   if cli.FAMILY[a] != "device" and a != "load_resistor_bound")
+    assert len(paths) == 69
     proc = fresh_python(RUN_ALL, *paths)
     assert json.loads(proc.stderr) == {"exits": [0], "loaded": []}
 
@@ -195,10 +196,10 @@ print(json.dumps({"alive": any(t.is_alive() for t in threads), "out": out}))
 
 
 def test_concurrent_first_use_of_different_analyses():
-    # pairs of analyses in one module, so two threads import one adapter
-    # module while others import the adapter modules of other families;
-    # effort, testability and power all import boolexpr on first use, and
-    # the device, interconnect and memory cases all read vlsidesk.device
+    # sixteen threads, most of them in pairs that share an adapter module,
+    # import the eight adapter modules at once; effort, testability and power
+    # all import boolexpr on first use, and four cli_device cases (two of
+    # them output_slew and access_sizing) read vlsidesk.device
     names = ["effort_template_nand_reference", "effort_nand_path_f64",
              "test_atpg_smallest_vector", "test_lfsr_primitive",
              "power_signal_prob_sop", "power_gray_code",
