@@ -30,6 +30,7 @@ INT = {"type": "integer"}
 STR = {"type": "string"}
 BOOL = {"type": "boolean"}
 
+# The one recursive sub-schema; the schemas that $ref it carry these $defs.
 _DEFS = {
     "network": {
         "type": "object",
@@ -48,46 +49,6 @@ _DEFS = {
         },
         "additionalProperties": False,
     },
-    "netlist": {
-        "type": "object",
-        "required": ["inputs", "gates", "outputs"],
-        "additionalProperties": False,
-        "properties": {
-            "inputs": {"type": "array", "items": STR},
-            "outputs": {"type": "array", "items": STR},
-            "gates": {"type": "array", "items": {
-                "type": "object",
-                "required": ["kind", "inputs", "output"],
-                "additionalProperties": False,
-                "properties": {"kind": STR,
-                               "inputs": {"type": "array", "items": STR},
-                               "output": STR},
-            }},
-        },
-    },
-    "cell_device": {
-        "type": "object",
-        "required": ["k_prime", "wl", "vt"],
-        "additionalProperties": False,
-        "properties": {"k_prime": NUM, "wl": NUM, "vt": NUM},
-    },
-    "bias_device": {
-        "type": "object",
-        "required": ["k_prime", "vt0", "bias"],
-        "additionalProperties": False,
-        "properties": {
-            "polarity": {"enum": ["nmos", "pmos"]},
-            "k_prime": NUM, "vt0": NUM, "gamma": NUM, "phi_f2": NUM,
-            "lambda": NUM, "wl": NUM,
-            "bias": {"type": "array", "items": NUM, "minItems": 3, "maxItems": 3},
-        },
-    },
-    "vtc_points": {
-        "type": "object",
-        "required": ["v_ol", "v_oh", "v_il", "v_ih"],
-        "additionalProperties": False,
-        "properties": {"v_ol": NUM, "v_oh": NUM, "v_il": NUM, "v_ih": NUM},
-    },
 }
 
 
@@ -97,7 +58,6 @@ def _schema(props, required):
         "properties": props,
         "required": sorted(required),
         "additionalProperties": False,
-        "$defs": _DEFS,
     }
 
 

@@ -4,7 +4,7 @@
 ``cli.REGISTRY`` imports this module when one of them is first looked up."""
 
 from . import device
-from .cli import NUM, _take, analysis
+from .cli import NUM, _schema, _take, analysis
 
 # schema name -> MosDevice field; the schema drops the trailing "_" of ``lambda_``
 _MOS_FIELDS = {f.rstrip("_"): f for f in device.MosDevice._fields}
@@ -69,9 +69,11 @@ def _run_vtc(params):
                  nm_l="V", nm_h="V"), diag
 
 
-@analysis("noise_margins",
-          {"driver": {"$ref": "#/$defs/vtc_points"},
-           "receiver": {"$ref": "#/$defs/vtc_points"}},
+_VTC_POINTS = _schema({"v_ol": NUM, "v_oh": NUM, "v_il": NUM, "v_ih": NUM},
+                      ["v_ol", "v_oh", "v_il", "v_ih"])
+
+
+@analysis("noise_margins", {"driver": _VTC_POINTS, "receiver": _VTC_POINTS},
           ["driver", "receiver"])
 def _run_nm(params):
     return _take(device.noise_margins(**params), nm_l="V", nm_h="V"), []
@@ -87,7 +89,11 @@ def _run_slew(params):
     return [("t", interconnect.output_slew(dev, **rest), "s")], []
 
 
-_BIAS_DEV = {"$ref": "#/$defs/bias_device"}
+_BIAS_DEV = _schema(
+    {"polarity": {"enum": ["nmos", "pmos"]},
+     "k_prime": NUM, "vt0": NUM, "gamma": NUM, "phi_f2": NUM, "lambda": NUM, "wl": NUM,
+     "bias": {"type": "array", "items": NUM, "minItems": 3, "maxItems": 3}},
+    ["k_prime", "vt0", "bias"])
 
 
 @analysis("access_sizing",

@@ -3,7 +3,7 @@
 ``cli.REGISTRY`` imports this module when one of them is first looked up."""
 
 from . import effort
-from .cli import BOOL, INT, NUM, STR, _pick, _take, analysis
+from .cli import _DEFS, BOOL, INT, NUM, STR, _pick, _schema, _take, analysis
 from .units import format_number
 
 
@@ -19,17 +19,13 @@ def _sized_gate(obj, mu):
 
 
 _NETWORK = {"$ref": "#/$defs/network"}
-_PULL_UP = {"oneOf": [_NETWORK, {"type": "object", "required": ["pullup_load"],
-                                   "properties": {"pullup_load": NUM},
-                                   "additionalProperties": False}]}
+_PULL_UP = {"oneOf": [_NETWORK, _schema({"pullup_load": NUM}, ["pullup_load"])]}
 
 
 @analysis("derive_template",
           {"pdn": _NETWORK, "pun": _PULL_UP, "mu": NUM, "cd_over_cg": NUM,
-           "reference": {"type": "object", "required": ["pdn", "pun"],
-                         "properties": {"pdn": _NETWORK, "pun": _PULL_UP, "mu": NUM},
-                         "additionalProperties": False}},
-          ["pdn", "pun"])
+           "reference": _schema({"pdn": _NETWORK, "pun": _PULL_UP, "mu": NUM}, ["pdn", "pun"])},
+          ["pdn", "pun"], **{"$defs": _DEFS})
 def _run_derive_template(params):
     mu = params.get("mu", 2.0)
     ref = params.get("reference",
@@ -49,9 +45,7 @@ def _run_nand_nor(params):
             for k in ("per_input", "total")], []
 
 
-_STAGE_ITEM = {"type": "object", "required": ["g", "p"],
-               "additionalProperties": False,
-               "properties": {"g": NUM, "p": NUM, "b": NUM, "name": STR}}
+_STAGE_ITEM = _schema({"g": NUM, "p": NUM, "b": NUM, "name": STR}, ["g", "p"])
 
 
 def _path(params):

@@ -3,7 +3,8 @@
 ``cli.REGISTRY`` imports this module when one of them is first looked up."""
 
 from . import gates
-from .cli import INT, NUM, STR, _pick, analysis
+from .cli import _DEFS, INT, NUM, STR, _pick, analysis
+from .errors import DomainError
 
 
 _GATE_PROPS = {"expr": STR, "w_n": NUM, "w_p": NUM, "mu": NUM}
@@ -45,13 +46,15 @@ def _run_euler(params):
 def _run_charge_share(params):
     case = gates.ChargeShareCase(**params)
     v = gates.charge_share_voltage(case)
+    if case.v_dd == 0:
+        raise DomainError("v_out_over_v_dd is undefined for v_dd = 0")
     return [("v_out", v, "V"), ("v_out_over_v_dd", v / case.v_dd, "")], []
 
 
 @analysis("evaluate_network",
           {"network": {"$ref": "#/$defs/network"},
            "assignment": {"type": "object", "additionalProperties": INT}},
-          ["network", "assignment"])
+          ["network", "assignment"], **{"$defs": _DEFS})
 def _run_eval_net(params):
     conducts = gates.evaluate_network(gates.network_from_json(params["network"]),
                                       params["assignment"])

@@ -39,11 +39,8 @@ def _buffer_model(obj):
 
 
 _BUFFER = {"oneOf": [
-    {"type": "object", "required": ["fixed_delay"], "properties": {"fixed_delay": NUM},
-     "additionalProperties": False},
-    {"type": "object", "required": ["r_drive"],
-     "properties": {"r_drive": NUM, "c_diff_out": NUM, "c_gate_in": NUM},
-     "additionalProperties": False},
+    _schema({"fixed_delay": NUM}, ["fixed_delay"]),
+    _schema({"r_drive": NUM, "c_diff_out": NUM, "c_gate_in": NUM}, ["r_drive"]),
 ]}
 
 

@@ -3,16 +3,16 @@
 ``cli.REGISTRY`` imports this module when one of them is first looked up."""
 
 from . import memory
-from .cli import INT, NUM, STR, CaseError, _pick, _take, analysis
+from .cli import INT, NUM, STR, CaseError, _pick, _schema, _take, analysis
 from .units import format_number
 
 
+_CELL_DEVICE = _schema({"k_prime": NUM, "wl": NUM, "vt": NUM}, ["k_prime", "wl", "vt"])
+
+
 @analysis("cell_node_voltage",
-          {"mode": {"enum": ["read_disturb", "write"]},
-           "access": {"$ref": "#/$defs/cell_device"},
-           "pulldown": {"$ref": "#/$defs/cell_device"},
-           "pullup": {"$ref": "#/$defs/cell_device"},
-           "v_dd": NUM, "v_bitline": NUM},
+          {"mode": {"enum": ["read_disturb", "write"]}, "access": _CELL_DEVICE,
+           "pulldown": _CELL_DEVICE, "pullup": _CELL_DEVICE, "v_dd": NUM, "v_bitline": NUM},
           ["mode", "access", "pulldown", "v_dd"])
 def _run_cell_v(params):
     devices = {k: memory.CellDevice(**params[k])
@@ -25,9 +25,7 @@ def _run_cell_v(params):
 
 
 @analysis("load_resistor_bound",
-          {"access": {"$ref": "#/$defs/cell_device"},
-           "pulldown": {"$ref": "#/$defs/cell_device"},
-           "v_dd": NUM, "v_q_max": NUM},
+          {"access": _CELL_DEVICE, "pulldown": _CELL_DEVICE, "v_dd": NUM, "v_q_max": NUM},
           ["access", "pulldown", "v_dd", "v_q_max"])
 def _run_rl(params):
     res = memory.load_resistor_bound(
@@ -59,11 +57,9 @@ def _run_blocked(params):
 
 
 @analysis("decoder_cost",
-          {"stages": {"type": "array", "minItems": 0, "items": {
-              "type": "object", "required": ["kind", "count"],
-              "additionalProperties": False,
-              "properties": {"kind": {"enum": ["nand", "nor", "inverter"]},
-                             "fan_in": INT, "count": INT}}}},
+          {"stages": {"type": "array", "minItems": 0, "items": _schema(
+              {"kind": {"enum": ["nand", "nor", "inverter"]}, "fan_in": INT, "count": INT},
+              ["kind", "count"])}},
           ["stages"])
 def _run_decoder(params):
     return [("transistors", memory.decoder_cost(params["stages"]), "")], []

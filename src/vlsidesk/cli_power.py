@@ -3,7 +3,8 @@
 ``cli.REGISTRY`` imports this module when one of them is first looked up."""
 
 from . import power
-from .cli import INT, NUM, STR, _pick, _take, analysis
+from .cli import INT, NUM, STR, _pick, _schema, _take, analysis
+from .errors import DomainError
 
 
 @analysis("signal_probability",
@@ -15,9 +16,7 @@ def _run_sig_prob(params):
 
 
 _LOADS = {"type": "array", "minItems": 1,
-          "items": {"type": "object", "required": ["c", "beta"],
-                    "additionalProperties": False,
-                    "properties": {"c": NUM, "beta": NUM}}}
+          "items": _schema({"c": NUM, "beta": NUM}, ["c", "beta"])}
 
 
 @analysis("switching_power",
@@ -35,6 +34,8 @@ def _run_switching(params):
     out = [("power", p, "W")]
     if "compare_loads" in params:
         p2 = switching(params["compare_loads"])
+        if p2 == 0:
+            raise DomainError("compare_loads draw no power, so the ratio is undefined")
         out += [("compare_power", p2, "W"), ("ratio", p / p2, "")]
     return out, []
 

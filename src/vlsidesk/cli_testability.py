@@ -3,7 +3,7 @@
 ``cli.REGISTRY`` imports this module when one of them is first looked up."""
 
 from . import testability
-from .cli import INT, STR, _take, analysis
+from .cli import INT, STR, _schema, _take, analysis
 
 
 @analysis("lfsr",
@@ -23,10 +23,14 @@ def _run_lfsr(params):
     return out, []
 
 
-_NETLIST = {"$ref": "#/$defs/netlist"}
-_FAULT = {"type": "object", "required": ["net", "value"],
-          "additionalProperties": False,
-          "properties": {"net": STR, "value": INT}}
+_NAMES = {"type": "array", "items": STR}
+_NETLIST = _schema(
+    {"inputs": _NAMES, "outputs": _NAMES,
+     "gates": {"type": "array",
+               "items": _schema({"kind": STR, "inputs": _NAMES, "output": STR},
+                                ["kind", "inputs", "output"])}},
+    ["inputs", "gates", "outputs"])
+_FAULT = _schema({"net": STR, "value": INT}, ["net", "value"])
 _VECTOR = {"type": ["array", "object"]}
 
 

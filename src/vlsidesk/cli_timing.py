@@ -3,15 +3,13 @@
 ``cli.REGISTRY`` imports this module when one of them is first looked up."""
 
 from . import timing
-from .cli import BOOL, INT, NUM, STR, _pick, _take, analysis
+from .cli import BOOL, INT, NUM, STR, _pick, _schema, _take, analysis
 
 
-_EDGE_ITEM = {"type": "object", "required": ["launch", "capture"],
-              "additionalProperties": False,
-              "properties": {"launch": STR, "capture": STR, "t_cq_min": NUM,
-                             "t_cq_max": NUM, "t_setup": NUM, "t_hold": NUM,
-                             "d_min": NUM, "d_max": NUM, "skew": NUM,
-                             "skew_uncertainty": NUM}}
+_EDGE_ITEM = _schema({"launch": STR, "capture": STR, "t_cq_min": NUM, "t_cq_max": NUM,
+                      "t_setup": NUM, "t_hold": NUM, "d_min": NUM, "d_max": NUM,
+                      "skew": NUM, "skew_uncertainty": NUM},
+                     ["launch", "capture"])
 
 
 @analysis("check_timing",
@@ -51,9 +49,7 @@ _RING_PROPS = {
                "items": {"type": "array", "items": NUM,
                          "minItems": 2, "maxItems": 2}},
     "probe_node": INT,
-    "first_transition": {"type": "object", "additionalProperties": False,
-                         "properties": {"node": INT, "falling": BOOL,
-                                        "input_rising": BOOL}},
+    "first_transition": _schema({"node": INT, "falling": BOOL, "input_rising": BOOL}, []),
 }
 
 

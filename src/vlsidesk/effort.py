@@ -17,6 +17,7 @@ from .errors import DesignError, DomainError, InputError, SizeError
 # the other analyses never load them.
 
 RHO_DEFAULT = 3.59  # optimum stage effort for p_inv = 1, Cd = Cg
+EFFORT_STAGE_LIMIT = 1000  # largest rounded log_rho(F) stage estimate, or given fork m
 
 
 class PullupLoad(Record):
@@ -281,6 +282,8 @@ def path_delay(path: PathSpec) -> dict:
     b = math.prod(s.b for s in path.stages)
     h = path.h
     f = g * b * h
+    if not 0 < f < math.inf:
+        raise DomainError(f"path effort F = {f:g} is not positive and finite")
     n = len(path.stages)
     f_hat = f ** (1.0 / n)
     p_total = sum(s.p for s in path.stages)
@@ -305,6 +308,21 @@ def size_stages(path: PathSpec, f_hat: float = None) -> list:
     return caps
 
 
+def _check_rho(rho):
+    if not rho > 1:
+        raise InputError(f"stage effort rho must exceed 1, not {rho:g}")
+
+
+def _stage_estimate(f, rho):
+    """log_rho(f) rounded, the stage count at stage effort rho; SizeError
+    past EFFORT_STAGE_LIMIT stages."""
+    n = round(math.log(f) / math.log(rho))
+    if n > EFFORT_STAGE_LIMIT:
+        raise SizeError(f"log_rho(F) asks for {n} stages, beyond the effort stage bound "
+                        f"of {EFFORT_STAGE_LIMIT}")
+    return n
+
+
 def _parity_ok(n, polarity):
     if polarity == "any":
         return True
@@ -325,13 +343,14 @@ def optimize_path(path: PathSpec, allow_added_inverters: bool = True,
     taken as inverting, so polarity pins the parity of N). Ties go to the
     fewest stages.
     """
+    _check_rho(rho)
     base = path_delay(path)
     f, n0 = base["F"], base["N"]
     candidates = set()
     if _parity_ok(n0, polarity):
         candidates.add(n0)
     if allow_added_inverters:
-        n_star = round(math.log(f) / math.log(rho)) if f > 1 else n0
+        n_star = _stage_estimate(f, rho) if f > 1 else n0
         for k in (n_star - 1, n_star, n_star + 1):
             if k >= n0 and _parity_ok(k, polarity):
                 candidates.add(k)
@@ -364,6 +383,8 @@ class ForkSpec(Record):
     def __init__(self, c_in_total, branch_load, m=0, p_inv=1.0):
         if c_in_total <= 0 or branch_load <= 0:
             raise DesignError("fork needs positive input cap and loads")
+        if m < 0:
+            raise InputError("short-branch length m must be >= 0")
         self.__dict__.update(c_in_total=c_in_total, branch_load=branch_load, m=m, p_inv=p_inv)
 
 
@@ -377,16 +398,19 @@ def design_fork(spec: ForkSpec, rho: float = RHO_DEFAULT, tol: float = 1e-3) -> 
     """Split the input capacitance between the two branches so their
     delays match (bisection to |dD| < tol); branch length from the
     log_rho estimate +/- 1, smallest worst-case delay wins."""
+    _check_rho(rho)
     if spec.m:
+        if spec.m > EFFORT_STAGE_LIMIT:
+            raise SizeError(f"m = {spec.m} exceeds the effort stage bound of "
+                            f"{EFFORT_STAGE_LIMIT}")
         candidates = [spec.m]
     else:
         ratio = 2.0 * spec.branch_load / spec.c_in_total
-        if not math.isfinite(ratio):
+        if not 0 < ratio < math.inf:
             raise DomainError(f"branch_load / c_in_total = {spec.branch_load:g} / "
-                              f"{spec.c_in_total:g} overflows")
-        m0 = math.log(ratio) / math.log(rho)
-        candidates = sorted({max(1, round(m0) - 1), max(1, round(m0)),
-                             max(1, round(m0) + 1)})
+                              f"{spec.c_in_total:g} overflows or underflows")
+        m0 = _stage_estimate(ratio, rho)
+        candidates = sorted({max(1, m0 - 1), max(1, m0), max(1, m0 + 1)})
     best = None
     for m in candidates:
         lo, hi = 1e-9 * spec.c_in_total, (1 - 1e-9) * spec.c_in_total

@@ -4,9 +4,10 @@ insertion, optimal inverter chains, and inverter output slew."""
 import math
 
 from . import Record
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, SizeError
 
 _REL_TOL = 1e-9
+BUFFER_SEGMENT_LIMIT = 100_000  # RcDriver segments one buffered_wire_delay sweep evaluates
 
 
 class RcTree(Record):
@@ -190,15 +191,21 @@ def buffered_wire_delay(wire: WireSpec, n_buffers, buffer, driver=None,
     stage charges its own diffusion, the segment cap, and the next gate;
     the segment resistance then charges the segment cap (lumped at its
     far end) plus the next gate. Optimum is the smallest arg-min of the
-    sweep.
+    sweep. The RcDriver segments of all counts, the sum of n+1, may number
+    at most BUFFER_SEGMENT_LIMIT.
     """
     total = wire_rc(wire)
     r_tot, c_tot = total["r"], total["c"]
     delays = {}
+    evaluated = 0
     for n in _segment_sweep(n_buffers):
         if n < 0:
             raise InputError("buffer count must be >= 0")
         segs = n + 1
+        evaluated += segs
+        if isinstance(buffer, RcDriver) and evaluated > BUFFER_SEGMENT_LIMIT:
+            raise SizeError(f"the sweep's {evaluated} segments exceed the buffered wire "
+                            f"bound of {BUFFER_SEGMENT_LIMIT}")
         r_seg, c_seg = r_tot / segs, c_tot / segs
         if isinstance(buffer, FixedDelay):
             delays[n] = segs * wire_delay_coeff * r_seg * c_seg + n * buffer.delay

@@ -38,8 +38,18 @@ class SramCell(Record):
                              v_bitline=v_bitline)
 
 
+def _square(x):
+    """x**2, or inf where it overflows, which float ** raises for."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def _smaller_root(a, b, c):
     disc = b * b - 4.0 * a * c
+    if not (math.isfinite(disc) and 0 < 2.0 * a < math.inf):
+        raise DomainError(f"cell KCL coefficients {a:g}, {b:g}, {c:g} overflow or underflow")
     if disc < 0:
         raise SolverError("cell KCL has no real solution")
     root = math.sqrt(disc)
@@ -62,7 +72,7 @@ def cell_node_voltage(cell: SramCell, mode: str) -> dict:
         # k_a (ov_a - v)^2 = k_p (2 ov_p v - v^2)
         a = a_dev.k + p_dev.k
         b = -2.0 * (a_dev.k * ov_a + p_dev.k * ov_p)
-        c = a_dev.k * ov_a**2
+        c = a_dev.k * _square(ov_a)
         lo, hi = _smaller_root(a, b, c)
         v = lo
         v_bit = vdd if cell.v_bitline is None else cell.v_bitline
@@ -77,7 +87,7 @@ def cell_node_voltage(cell: SramCell, mode: str) -> dict:
         # k_u ov_u^2 = k_a (2 ov_a v - v^2)
         a = a_dev.k
         b = -2.0 * a_dev.k * ov_a
-        c = u_dev.k * ov_u**2
+        c = u_dev.k * _square(ov_u)
         lo, hi = _smaller_root(a, b, c)
         v = lo
         regions_ok = v < ov_a and v <= u_dev.vt + 1e-12
@@ -120,6 +130,9 @@ def load_resistor_bound(access: CellDevice, pulldown: CellDevice,
         raise InputError("need 0 < v_q_max < v_dd")
     i_access = square_law_current(access.k, v_dd - v_q_max - access.vt, v_dd - v_q_max)
     i_pulldown = square_law_current(pulldown.k, v_dd - pulldown.vt, v_q_max)
+    if not (math.isfinite(i_access) and math.isfinite(i_pulldown)):
+        raise DomainError(f"device currents {i_access:g} A (access) and {i_pulldown:g} A "
+                          "(pull-down) are not finite")
     margin = i_pulldown - i_access
     if margin <= 0:
         raise InfeasibleError(

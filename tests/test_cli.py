@@ -230,6 +230,17 @@ def test_list_command(capsys):
     assert listing["gray_code"]["properties"]["n_bits"]["type"] == "integer"
 
 
+def test_list_carries_defs_only_where_network_recurses(capsys):
+    import jsonschema
+    assert cli.main(["list"]) == 0
+    listing = json.loads(capsys.readouterr().out)
+    assert [k for k, v in listing.items() if "$defs" in v] == \
+        ["derive_template", "evaluate_network"]
+    assert list(cli._DEFS) == ["network"]
+    for schema in listing.values():
+        jsonschema.Draft202012Validator.check_schema(schema)
+
+
 def test_float_formatting_six_significant_digits(tmp_path, capsys):
     doc = {"schema": 1, "analysis": "charge_share_voltage",
            "params": {"c_out": 1.0, "c_exposed": [2.0], "v_dd": 1.0}}
@@ -375,6 +386,52 @@ DEFECT_CASES = [
     ("ripple_chain", {"xy_to_s": 1e308, "xy_to_bout": 1e308, "bin_to_s": 1e308,
                       "bin_to_bout": 1e308, "n_blocks": 3}, 2, "analysis_error"),
     ("switching_power", {"loads": [{"c": 1e308, "beta": 2}], "v_dd": 1e308, "f_clk": 1},
+     2, "analysis_error"),
+    ("optimize_path", {"stages": [{"g": 2, "p": 4}], "c_in": 1, "c_load": 300, "rho": 1},
+     2, "analysis_error"),
+    ("optimize_path", {"stages": [{"g": 2, "p": 4}], "c_in": 1, "c_load": 300, "rho": "-0"},
+     2, "analysis_error"),
+    ("design_fork", {"c_in_total": 20, "branch_load": 1000, "rho": 1}, 2, "analysis_error"),
+    ("design_fork", {"c_in_total": 20, "branch_load": 1000, "rho": "-0"}, 2, "analysis_error"),
+    ("optimize_path", {"stages": [{"g": 2, "p": 4}], "c_in": 1, "c_load": 1e300,
+                       "rho": 1.0000001}, 2, "analysis_error"),
+    ("design_fork", {"c_in_total": 1, "branch_load": 1e300, "rho": 1.0000001},
+     2, "analysis_error"),
+    ("design_fork", {"c_in_total": 20, "branch_load": 1000, "m": 2**70}, 2, "analysis_error"),
+    ("optimize_path", {"stages": [{"g": 1e308, "p": 1}], "c_in": 1, "c_load": 300},
+     2, "analysis_error"),
+    ("buffered_wire_delay", {"wire": {"length": 9, "width": "375u", "r_sheet": 0.025},
+                             "n_buffers": [0, 2**70],
+                             "buffer": {"r_drive": 1000, "c_gate_in": "200f"}},
+     2, "analysis_error"),
+    ("cell_node_voltage", {"mode": "read_disturb",
+                           "access": {"k_prime": "60u", "wl": 2, "vt": 1e308},
+                           "pulldown": {"k_prime": "60u", "wl": 4, "vt": 0.5}, "v_dd": 2},
+     2, "analysis_error"),
+    ("cell_node_voltage", {"mode": "read_disturb",
+                           "access": {"k_prime": "60u", "wl": 2, "vt": 0.5},
+                           "pulldown": {"k_prime": "60u", "wl": 4, "vt": 0.5}, "v_dd": 1e308},
+     2, "analysis_error"),
+    ("cell_node_voltage", {"mode": "write",
+                           "access": {"k_prime": "60u", "wl": 2, "vt": 0.5},
+                           "pulldown": {"k_prime": "60u", "wl": 4, "vt": 0.5},
+                           "pullup": {"k_prime": "30u", "wl": 1.5, "vt": 1e308}, "v_dd": 2},
+     2, "analysis_error"),
+    ("load_resistor_bound", {"access": {"k_prime": 1e-4, "wl": 1, "vt": 0.7},
+                             "pulldown": {"k_prime": 1e308, "wl": 2, "vt": 0.7},
+                             "v_dd": 1, "v_q_max": 0.4}, 2, "analysis_error"),
+    ("switching_power", {"loads": [{"c": 1, "beta": 0.4}], "v_dd": 1, "f_clk": 1,
+                         "compare_loads": [{"c": 0, "beta": 0.4}]}, 2, "analysis_error"),
+    ("charge_share_voltage", {"c_out": 1, "c_exposed": [1], "v_dd": "-0"},
+     2, "analysis_error"),
+    ("design_fork", {"c_in_total": 1e10, "branch_load": 1e-320}, 2, "analysis_error"),
+    ("design_fork", {"c_in_total": 20, "branch_load": 1000, "m": -1}, 2, "analysis_error"),
+    ("path_delay", {"stages": [{"g": 1e-200, "p": 1}], "c_in": 1e200, "c_load": 1e-200},
+     2, "analysis_error"),
+    ("cell_node_voltage", {"mode": "write",
+                           "access": {"k_prime": "60u", "wl": "1e-320", "vt": 0.5},
+                           "pulldown": {"k_prime": "60u", "wl": 4, "vt": 0.5},
+                           "pullup": {"k_prime": "30u", "wl": 1.5, "vt": 0.5}, "v_dd": 2},
      2, "analysis_error"),
 ]
 

@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
 from vlsidesk import effort
 from vlsidesk.effort import (
+    EFFORT_STAGE_LIMIT,
     ForkSpec,
     PathSpec,
     PullupLoad,
@@ -13,7 +16,7 @@ from vlsidesk.effort import (
     path_delay,
     size_stages,
 )
-from vlsidesk.errors import DomainError, InputError
+from vlsidesk.errors import DomainError, InputError, SizeError
 from vlsidesk.gates import CompoundGate, Parallel, Series, Switch
 
 
@@ -322,6 +325,48 @@ def test_fork_rejects_bad_loads():
         design_fork(ForkSpec(c_in_total=10.0, branch_load=-5.0))
     with pytest.raises(Exception):
         design_fork(ForkSpec(c_in_total=0.0, branch_load=100.0))
+
+
+@pytest.mark.parametrize("rho", [1.0, -0.0, 0.5])
+def test_stage_effort_rho_must_exceed_1(rho):
+    path = PathSpec(stages=[Stage(g=2, p=4)], c_in=1, c_load=300)
+    with pytest.raises(InputError, match="rho must exceed 1"):
+        optimize_path(path, rho=rho)
+    with pytest.raises(InputError, match="rho must exceed 1"):
+        design_fork(ForkSpec(c_in_total=20.0, branch_load=1000.0), rho=rho)
+
+
+@pytest.mark.parametrize("g,c_in,c_load", [(1e308, 1.0, 300.0), (1e-200, 1e200, 1e-200)])
+def test_path_effort_that_overflows_or_underflows_is_a_domain_error(g, c_in, c_load):
+    path = PathSpec(stages=[Stage(g=g, p=1)], c_in=c_in, c_load=c_load)
+    for analysis in (path_delay, optimize_path):
+        with pytest.raises(DomainError, match="path effort F"):
+            analysis(path)
+
+
+# rho = e^0.5, so log_rho(F) = 2 ln F: F = e^(n/2) asks for n stages
+@pytest.mark.parametrize("n", [EFFORT_STAGE_LIMIT, EFFORT_STAGE_LIMIT + 1])
+def test_optimize_path_stage_bound(n):
+    path = PathSpec(stages=[Stage(g=1, p=1)], c_in=1.0, c_load=math.exp(n / 2))
+    if n > EFFORT_STAGE_LIMIT:
+        with pytest.raises(SizeError, match="effort stage bound"):
+            optimize_path(path, rho=math.exp(0.5))
+        return
+    res = optimize_path(path, rho=math.exp(0.5))
+    assert res["n"] in (n - 1, n, n + 1) and len(res["stage_caps"]) == res["n"]
+
+
+@pytest.mark.parametrize("n", [EFFORT_STAGE_LIMIT, EFFORT_STAGE_LIMIT + 1])
+def test_design_fork_stage_bound(n):
+    given = ForkSpec(c_in_total=20.0, branch_load=1000.0, m=n)
+    estimated = ForkSpec(c_in_total=2.0, branch_load=math.exp(n / 2))  # ratio e^(n/2)
+    if n > EFFORT_STAGE_LIMIT:
+        for spec in (given, estimated):
+            with pytest.raises(SizeError, match="effort stage bound"):
+                design_fork(spec, rho=math.exp(0.5))
+        return
+    assert len(design_fork(given)["long_caps"]) == n + 1
+    assert design_fork(estimated, rho=math.exp(0.5))["m"] in (n - 1, n, n + 1)
 
 
 def test_transition_chain_alternation():

@@ -4,8 +4,9 @@ import time
 import pytest
 
 from vlsidesk.device import MosDevice
-from vlsidesk.errors import DomainError, InputError
+from vlsidesk.errors import DomainError, InputError, SizeError
 from vlsidesk.interconnect import (
+    BUFFER_SEGMENT_LIMIT,
     FixedDelay,
     RcDriver,
     RcTree,
@@ -199,6 +200,22 @@ def test_rc_model_uses_distinct_driver_for_first_segment():
     stage0 = 5000.0 * (10e-15 + seg_c + 20e-15) + seg_r * (seg_c + 20e-15)
     stage1 = 500.0 * (10e-15 + seg_c + 20e-15) + seg_r * (seg_c + 20e-15)
     assert with_weak == pytest.approx(stage0 + stage1)
+
+
+@pytest.mark.parametrize("counts", [[BUFFER_SEGMENT_LIMIT - 1],
+                                    [BUFFER_SEGMENT_LIMIT - 1, 0]])
+def test_rc_buffer_sweep_segment_bound(counts):
+    inv = RcDriver(r_drive=1000.0, c_gate_in=200e-15)
+    if sum(n + 1 for n in counts) > BUFFER_SEGMENT_LIMIT:
+        with pytest.raises(SizeError, match="buffered wire bound"):
+            buffered_wire_delay(WIRE_50K_20F, counts, inv)
+    else:
+        assert buffered_wire_delay(WIRE_50K_20F, counts, inv)["optimal_n"] == counts[0]
+
+
+def test_fixed_delay_sweep_has_no_segment_bound():
+    # a fixed-delay buffer costs O(1) per count, not one step per segment
+    assert buffered_wire_delay(WIRE_50K_20F, [2**70], FixedDelay(0.0))["optimal_n"] == 2**70
 
 
 def test_free_buffers_monotone(rng):

@@ -141,6 +141,24 @@ def test_load_resistor_bound_with_the_access_device_off():
         assert res["r_min"] == pytest.approx((1.0 - v_q_max) / 9e-6, rel=1e-12)
 
 
+@pytest.mark.parametrize("mode,device,field,value", [
+    ("read_disturb", "access", "vt", 1e308), ("read_disturb", "access", "k_prime", 1e308),
+    ("write", "pullup", "vt", 1e308), ("write", "access", "k_prime", 1e308),
+    ("write", "access", "wl", 1e-320)])
+def test_cell_kcl_overflow_or_underflow_is_a_domain_error(mode, device, field, value):
+    devices = {k: getattr(CELL_2V, k) for k in ("access", "pulldown", "pullup")}
+    devices[device] = CellDevice(**{**vars(devices[device]), field: value})
+    with pytest.raises(DomainError, match="overflow"):
+        cell_node_voltage(SramCell(**devices, v_dd=2.0), mode)
+
+
+def test_load_resistor_bound_with_an_overflowing_current_is_a_domain_error():
+    # k = k_prime * wl overflows to inf
+    with pytest.raises(DomainError, match="not finite"):
+        load_resistor_bound(CellDevice(1e-4, 1, 0.7), CellDevice(1e308, 2, 0.7),
+                            v_dd=1.0, v_q_max=0.4)
+
+
 GEOM_256 = BitlineGeometry(rows=256, cell_height=1.5, cell_width=2.0,
                            bl_width=0.2, access_w=0.25, c_d=1e-15,
                            c_pp=0.1e-15, c_fr=0.05e-15, r_sq=0.1)

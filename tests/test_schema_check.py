@@ -225,7 +225,7 @@ def oracle_outcome(case):
         return "CaseError", rejection_oracle(case)
     schema = cli.REGISTRY[case["analysis"]]["schema"]
     try:
-        return "params", typed(parse_oracle(case["params"], schema, schema["$defs"]))
+        return "params", typed(parse_oracle(case["params"], schema, schema.get("$defs", {})))
     except QuantityError as e:
         return "QuantityError", str(e)
 
@@ -274,7 +274,7 @@ def test_run_case_matches_check_then_parse_on_every_base_case():
         schema = cli.REGISTRY[case["analysis"]]["schema"]
         try:
             results, diagnostics = cli.REGISTRY[case["analysis"]]["run"](
-                parse_oracle(case["params"], schema, schema["$defs"]))
+                parse_oracle(case["params"], schema, schema.get("$defs", {})))
         except Exception as e:
             want = type(e).__name__, str(e)
         else:
