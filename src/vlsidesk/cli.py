@@ -14,7 +14,6 @@ import functools
 import importlib
 import json
 import math
-import numbers
 import sys
 
 from .errors import DomainError, QuantityError, VlsiError
@@ -162,12 +161,26 @@ def load_case(path):
 
 # --- compiled schema walks --------------------------------------------------
 
+_NOT_NUMBERS = {str, bool, list, dict, type(None)}
+
+
+def _is_number(x):
+    """jsonschema's "number": a ``numbers.Number`` that is not a bool. Only a
+    value of a type no JSON document holds imports ``numbers``."""
+    if type(x) in (int, float):
+        return True
+    if type(x) in _NOT_NUMBERS:
+        return False
+    import numbers
+    return isinstance(x, numbers.Number) and not isinstance(x, bool)
+
+
 _TYPES = {  # Draft 2020-12 types as jsonschema tells them apart
     "array": lambda x: isinstance(x, list),
     "boolean": lambda x: isinstance(x, bool),
     "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
                           or isinstance(x, float) and x.is_integer()),
-    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+    "number": _is_number,
     "object": lambda x: isinstance(x, dict),
     "string": lambda x: isinstance(x, str),
 }
@@ -416,10 +429,7 @@ def run_case(case) -> dict:
     name, params, bad = _walk_case(case)
     if bad:
         raise bad[0]
-    try:
-        results, diagnostics = REGISTRY[name]["run"](params)
-    except KeyError as e:
-        raise CaseError(f"params missing field {e}") from e
+    results, diagnostics = REGISTRY[name]["run"](params)
     for k, v, _ in results:
         if not _finite(v):
             raise DomainError(f"result {k} is not finite")
@@ -511,14 +521,25 @@ def _fail(code, kind, message, **extra):
 
 
 def main(argv=None) -> int:
+    """Run the command line ``argv`` (``sys.argv[1:]`` when None) and return
+    the exit status. With ``argv`` None, vlsidesk is the whole process, which
+    ends when this returns: ``gc.freeze()`` then moves every object out of
+    the collector's reach, so the interpreter's exit-time collection does not
+    walk a heap the OS frees anyway. ``atexit`` handlers still run and stdio
+    is still flushed. A caller that passes a list keeps its collector as it
+    was."""
     try:
-        return _main(argv)
+        code = _main(argv)
     except BrokenPipeError:  # downstream closed the pipe (e.g. | head)
-        return 0
+        code = 0
     except Exception as e:  # a defect in vlsidesk, not in the case: keep it machine-readable
         import traceback  # only this path needs it; importing it up front slows every start
-        return _fail(3, "internal_error", f"{type(e).__name__}: {e}",
+        code = _fail(3, "internal_error", f"{type(e).__name__}: {e}",
                      traceback=traceback.format_exc())
+    if argv is None:
+        import gc
+        gc.freeze()
+    return code
 
 
 _HELP = """usage: vlsidesk run CASE [--format json|table]

@@ -20,6 +20,7 @@ from .errors import DomainError, InputError, SizeError, StructureError
 from .units import parse_quantity
 
 EULER_INPUT_LIMIT = 12
+EULER_SEARCH_LIMIT = 500_000
 DUALITY_INPUT_LIMIT = 24
 RESISTANCE_INPUT_LIMIT = 18
 
@@ -324,7 +325,13 @@ def network_graph(net):
 
 def common_euler_ordering(gate: CompoundGate):
     """Deterministic search for one input ordering that is an Euler path of
-    both the PDN and PUN graphs, or None when no such ordering exists."""
+    both the PDN and PUN graphs, or None when no such ordering exists.
+
+    The backtracking search is exponential in switches, so it examines at
+    most EULER_SEARCH_LIMIT edges and raises SizeError past that. Each step
+    examines all E edges of a network and the search recurses at most E
+    deep, so a search d deep has examined at least d^2 edges: the bound also
+    keeps the recursion below sqrt(EULER_SEARCH_LIMIT), about 707 deep."""
     n_inputs = len(set(network_inputs(gate.pdn)))
     if n_inputs > EULER_INPUT_LIMIT:
         raise SizeError(f"{n_inputs} inputs exceeds the Euler search bound")
@@ -333,8 +340,14 @@ def common_euler_ordering(gate: CompoundGate):
     if sorted(l for _, _, l in pdn_edges) != sorted(l for _, _, l in pun_edges):
         return None
     total = len(pdn_edges)
+    examined = 0
 
     def moves(edges, used, at, label=None):
+        nonlocal examined
+        examined += len(edges)
+        if examined > EULER_SEARCH_LIMIT:
+            raise SizeError(f"the Euler search examined more than {EULER_SEARCH_LIMIT} "
+                            "edges")
         for i, (u, v, lbl) in enumerate(edges):
             if used[i] or (label is not None and lbl != label):
                 continue

@@ -218,11 +218,11 @@ def blocked_read_delay(plan: ArrayPlan) -> dict:
 def decoder_cost(stages) -> int:
     """Static-CMOS transistor count: 2k per k-input gate, 2 per inverter.
 
-    ``stages`` is a list of {kind, fan_in, count} entries; cost is
-    additive across stages.
+    ``stages`` is a list of {kind, fan_in, count} entries, ``fan_in`` only
+    for nand and nor stages; cost is additive across stages.
     """
     total = 0
-    for st in stages:
+    for i, st in enumerate(stages):
         kind = st["kind"]
         count = int(st["count"])
         if count < 0:
@@ -230,6 +230,8 @@ def decoder_cost(stages) -> int:
         if kind == "inverter":
             total += 2 * count
         elif kind in ("nand", "nor"):
+            if "fan_in" not in st:
+                raise InputError(f"stage {i} ({kind}) needs a fan_in")
             fan_in = int(st["fan_in"])
             if fan_in < 1:
                 raise InputError("fan_in must be >= 1")

@@ -5,7 +5,6 @@ arrival, with an optional symmetric uncertainty that tightens both the
 setup and the hold check."""
 
 import math
-from fractions import Fraction
 
 from . import Record
 from .errors import InfeasibleError, InputError, SizeError
@@ -222,8 +221,9 @@ class LatchPipeline(Record):
     hold time."""
     _fields = ("n_stages", "duty", "deltas", "d_cq", "d_dq", "d_dc", "d_cd", "skew", "period")
 
-    def __init__(self, n_stages, duty=Fraction(1, 2), deltas=(), d_cq=0.0, d_dq=0.0,
+    def __init__(self, n_stages, duty=0.5, deltas=(), d_cq=0.0, d_dq=0.0,
                  d_dc=0.0, d_cd=0.0, skew=0.0, period=0.0):
+        from fractions import Fraction  # only the latch analysis loads fractions and decimal
         duty = Fraction(duty).limit_denominator(10**6)
         deltas = tuple(deltas)
         if not 0 < duty < 1:
@@ -237,15 +237,15 @@ class LatchPipeline(Record):
 
 
 def _latch_open(k, duty):
-    # in units of T
-    return Fraction(k // 2) if k % 2 == 0 else Fraction(k // 2) + duty
+    # in units of T; duty is a Fraction, so every window is one too
+    return k // 2 if k % 2 == 0 else k // 2 + duty
 
 
 def _latch_close(k, duty):
     return _latch_open(k, duty) + (duty if k % 2 == 0 else 1 - duty)
 
 
-def _coeff_str(w: Fraction):
+def _coeff_str(w):
     if w == 1:
         return "T"
     f = float(w)

@@ -53,6 +53,54 @@ def test_table_format(tmp_path, capsys):
     assert "duty" in out and "0.52" in out
 
 
+def test_table_format_lists_diagnostics_as_notes(tmp_path, capsys):
+    # optimize_path reports each candidate stage count as a diagnostic; the
+    # values are worked out in test_effort's inverting-polarity test
+    doc = {"schema": 1, "analysis": "optimize_path", "meta": {"label": "odd stage count"},
+           "params": {"stages": [{"g": 1, "p": 1}], "c_in": 1, "c_load": 8,
+                      "polarity": "inverting", "p_inv": 0.5}}
+    rc = cli.main(["run", write_case(tmp_path, doc), "--format", "table"])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "analysis: optimize_path\n"
+        "label:    odd stage count\n"
+        "\n"
+        "  n                        3  stages\n"
+        "  added_inverters          2\n"
+        "  d                        8  FO1\n"
+        "  f_hat                    2\n"
+        "  stage_caps       [1, 2, 4]  C_g\n"
+        "\n"
+        "  note: candidate N=1: D=9\n"
+        "  note: candidate N=3: D=8\n")
+
+
+def test_voltage_scaling_below_twice_the_threshold_reports_infinite():
+    # at v_to = 1.5 <= 2 v_t = 2 no crowbar current is left, so the
+    # short-circuit reduction is infinite; switching scales as (3 / 1.5)^2 = 4
+    report = cli.run_case({"schema": 1, "analysis": "voltage_scaling_factors",
+                           "params": {"v_from": 3, "v_to": 1.5, "v_t": 1}})
+    assert report["results"] == {
+        "switching_reduction": {"value": 4.0, "unit": "x"},
+        "short_circuit_reduction": {"value": "infinite", "unit": "x"}}
+    assert '"value": "infinite"' in cli.render_json(report)
+
+
+def test_euler_probe_exits_2_within_a_second(tmp_path, capsys):
+    # 12 inputs, within EULER_INPUT_LIMIT, but 51 switches per network: the
+    # search ran 14-23 s to exit 0 before it was bounded by its work
+    doc = {"schema": 1, "analysis": "common_euler_ordering", "params": {
+        "expr": "(GCKL+HF+J+IH+JKHC+JCFK+E+CK+JKEH+HDGJ+DFA+JAGE+I+JEKD+LHFI+KDIJ)(E+F+G)"}}
+    t0 = time.perf_counter()
+    rc = cli.main(["run", write_case(tmp_path, doc)])
+    assert time.perf_counter() - t0 < 1.0
+    cap = capsys.readouterr()
+    assert rc == 2 and cap.out == ""
+    assert json.loads(cap.err)["error"] == {
+        "code": "analysis_error",
+        "message": "SizeError: the Euler search examined more than 500000 edges"}
+
+
 def test_format_option_forms(tmp_path, capsys):
     path = write_case(tmp_path, RING_CASE)
     outs = []
@@ -433,6 +481,7 @@ DEFECT_CASES = [
                            "pulldown": {"k_prime": "60u", "wl": 4, "vt": 0.5},
                            "pullup": {"k_prime": "30u", "wl": 1.5, "vt": 0.5}, "v_dd": 2},
      2, "analysis_error"),
+    ("decoder_cost", {"stages": [{"kind": "nand", "count": 2}]}, 2, "analysis_error"),
 ]
 
 

@@ -377,3 +377,16 @@ def test_transition_chain_alternation():
     assert [s.g for s in stages] == [2.0, 0.5, 2.0]
     stages_f = effort.transition_chain([(tpl, "a", 1.0)] * 3, "fall")
     assert [s.g for s in stages_f] == [0.5, 2.0, 0.5]
+
+
+def test_optimize_path_inverting_keeps_an_odd_stage_count():
+    # one stage with g = 1, p = 1 driving H = 8: F = 8, and log_3.59(8) = 1.63
+    # rounds to 2 stages. Inverting allows N = 1 or 3 only:
+    #   D(1) = 8 + 1 = 9;  D(3) = 3 * 8^(1/3) + 1 + 2 * 0.5 = 8.
+    # So two inverters are added, f_hat = 2, and the caps back from
+    # C_load = 8 are 4, 2, 1. Unconstrained, N = 2 wins: 2 * sqrt(8) + 1.5.
+    path = PathSpec(stages=[Stage(g=1, p=1)], c_in=1.0, c_load=8.0)
+    res = optimize_path(path, polarity="inverting", p_inv=0.5)
+    assert res == {"n": 3, "added_inverters": 2, "d": 8.0, "f_hat": 2.0,
+                   "stage_caps": [1.0, 2.0, 4.0], "candidates": {1: 9.0, 3: 8.0}}
+    assert optimize_path(path, polarity="any", p_inv=0.5)["n"] == 2

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -245,3 +246,29 @@ def test_euler_input_bound():
     g = compound_gate(expr, reference=(1, 2), mu=2)
     with pytest.raises(gates.SizeError):
         common_euler_ordering(g)
+
+
+# the 51-switch probe that ran 14-23 s is a CLI test in test_cli.py
+@pytest.mark.parametrize("expr", [
+    "K+A+AF+(A+A)(A+A+A)",  # the slowest case at the bound of a seeded search
+    "C(C+CC)CC(C+C)C",      # 9 switches, 1.7 s without the bound
+    "+".join(["A"] * 1200),  # recursed 1200 deep without the bound
+], ids=["seeded-slowest", "nine-switches", "1200-switches"])
+def test_euler_search_bound_ends_within_a_second(expr):
+    g = compound_gate(expr, reference=(1, 2), mu=2)
+    t0 = time.perf_counter()
+    with pytest.raises(gates.SizeError, match="Euler search examined more than 500000"):
+        common_euler_ordering(g)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_euler_search_under_the_bound_still_ends_in_an_answer():
+    # an exhaustive search that fails after about 0.1 s stays an answer, and
+    # a long gate whose ordering is found at once stays an ordering
+    g = compound_gate("(B+B)L(CC+C+C+C)CD", reference=(1, 2), mu=2)
+    assert common_euler_ordering(g) is None
+    for expr, n in [("ABCDEFGHIJKL+ABCDEFGHIJKL", 24), ("+".join(["A"] * 40), 40)]:
+        g = compound_gate(expr, reference=(1, 2), mu=2)
+        ordering = common_euler_ordering(g)
+        assert ordering is not None and len(ordering) == n
+        assert euler_ordering_valid(g.pdn, ordering) and euler_ordering_valid(g.pun, ordering)

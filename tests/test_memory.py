@@ -244,6 +244,13 @@ def test_decoder_costs():
     assert decoder_cost([]) == 0
 
 
+@pytest.mark.parametrize("kind", ["nand", "nor"])
+def test_decoder_gate_stage_without_fan_in_names_the_stage(kind):
+    stages = [{"kind": "inverter", "count": 1}, {"kind": kind, "count": 2}]
+    with pytest.raises(InputError, match=rf"^stage 1 \({kind}\) needs a fan_in$"):
+        decoder_cost(stages)
+
+
 def test_decoder_cost_additive(rng):
     a = [{"kind": "nand", "fan_in": 3, "count": 7}]
     b = [{"kind": "inverter", "count": 5}]

@@ -1,8 +1,12 @@
-"""Start-up of the CLI, each check in a fresh interpreter: a valid case never
-imports jsonschema, argparse, dataclasses or inspect, and only the analysis
-modules a case uses are loaded, ``vlsidesk.device`` among them. A run
-compiles ``cli.py`` once and the adapter module of its own family only."""
+"""Start-up and exit of the CLI, each check in a fresh interpreter: a valid
+case never imports jsonschema, argparse, dataclasses, inspect or numbers, a
+case other than the latch analysis never imports fractions or decimal, and
+only the analysis modules a case uses are loaded, ``vlsidesk.device`` among
+them. A run compiles ``cli.py`` once and the adapter module of its own
+family only. ``python -m vlsidesk.cli`` writes what ``cli.main([...])``
+writes in-process, and only the former freezes the heap before it exits."""
 
+import gc
 import json
 import os
 import pathlib
@@ -11,20 +15,26 @@ import sys
 
 import pytest
 
-from vlsidesk import cli
+from vlsidesk import cli, timing
 
 from conftest import CASES_DIR, load_case
 
 SRC = pathlib.Path(cli.__file__).resolve().parent.parent
 ALWAYS = {"vlsidesk", "vlsidesk.cli", "vlsidesk.errors", "vlsidesk.units"}
-NEVER = ("jsonschema", "argparse", "dataclasses", "inspect")
+NEVER = ("jsonschema", "argparse", "dataclasses", "inspect", "numbers", "fractions",
+         "decimal")
+
+
+def python(*argv, stdin=None):
+    """``python ARGV`` in a fresh interpreter that imports vlsidesk from SRC."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *argv], input=stdin, env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 def fresh_python(code, *args, stdin=None):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code, *args], input=stdin, env=env,
-                          capture_output=True, text=True, timeout=60)
+    return python("-c", code, *args, stdin=stdin)
 
 
 LOADED = """
@@ -65,11 +75,11 @@ def test_valid_run_loads_only_its_analysis_and_no_jsonschema(case, modules):
 RUN_ALL = """
 import json, sys
 from vlsidesk import cli
-codes = [cli.main(["run", path]) for path in sys.argv[1:]]
+watched, *paths = sys.argv[1:]
+codes = [cli.main(["run", path]) for path in paths]
 sys.stdout.flush()
 sys.stderr.write(json.dumps({"exits": sorted(set(codes)),
-                             "loaded": sorted(m for m in ("argparse", "dataclasses",
-                                                          "inspect", "vlsidesk.device")
+                             "loaded": sorted(m for m in watched.split(",")
                                               if m in sys.modules)}))
 """
 
@@ -82,7 +92,7 @@ def test_cases_that_need_no_device_model_never_load_device():
     paths = sorted(str(p) for p, a in analyses.items()
                    if cli.FAMILY[a] != "device" and a != "load_resistor_bound")
     assert len(paths) == 69
-    proc = fresh_python(RUN_ALL, *paths)
+    proc = fresh_python(RUN_ALL, "argparse,dataclasses,inspect,vlsidesk.device", *paths)
     assert json.loads(proc.stderr) == {"exits": [0], "loaded": []}
 
 
@@ -214,3 +224,106 @@ def test_concurrent_first_use_of_different_analyses():
         proc = fresh_python(THREADS, stdin=json.dumps(cases))
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {"alive": False, "out": want}
+
+
+def test_only_the_latch_analysis_loads_fractions():
+    # no valid case loads numbers; fractions, which imports decimal and
+    # numbers, is loaded by latch_constraints alone
+    analyses = {p: load_case(p.stem)["analysis"] for p in CASES_DIR.glob("*.json")}
+    latch = sorted(str(p) for p, a in analyses.items() if a == "latch_constraints")
+    others = sorted(str(p) for p, a in analyses.items() if a != "latch_constraints")
+    assert (len(latch), len(others)) == (2, 81)
+    watched = "numbers,fractions,decimal"
+    assert json.loads(fresh_python(RUN_ALL, watched, *others).stderr) == {
+        "exits": [0], "loaded": []}
+    assert json.loads(fresh_python(RUN_ALL, watched, *latch).stderr) == {
+        "exits": [0], "loaded": ["decimal", "fractions", "numbers"]}
+
+
+def module_run(*args, code=None):
+    """``python -m vlsidesk.cli ARGS`` in a fresh interpreter, or ``python -c
+    CODE ARGS`` where CODE sets up the process and then runs the module the
+    same way."""
+    proc = python(*(["-m", "vlsidesk.cli"] if code is None else ["-c", code]), *args)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def in_process(capsys, *args):
+    code = cli.main(list(args))
+    cap = capsys.readouterr()
+    return code, cap.out, cap.err
+
+
+AS_MODULE = """
+import runpy, sys
+{setup}
+runpy.run_module("vlsidesk.cli", run_name="__main__", alter_sys=True)
+"""
+
+UNKNOWN = {"schema": 1, "analysis": "warp_drive", "params": {}}
+NO_FAN_IN = {"schema": 1, "analysis": "decoder_cost",
+             "params": {"stages": [{"kind": "nand", "count": 2}]}}
+
+
+def case_path(tmp_path, case):
+    """The path of a corpus case named ``case``, or of ``case`` written out."""
+    if isinstance(case, str):
+        return str(CASES_DIR / f"{case}.json")
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(case))
+    return str(path)
+
+
+@pytest.mark.parametrize("command,case,options,code", [
+    ("run", "timing_ring_design", [], 0),
+    ("run", "effort_decoder_path", ["--format", "table"], 0),
+    ("run", "memory_decoder_basic", ["--format=table"], 0),
+    ("validate", "power_gray_code", [], 0),
+    ("list", None, [], 0),
+    ("run", UNKNOWN, [], 1),
+    ("frobnicate", None, [], 1),
+    ("run", NO_FAN_IN, [], 2),
+], ids=["run", "run-table", "run-table-eq", "validate", "list", "unknown-analysis",
+        "usage-error", "analysis-error"])
+def test_module_run_writes_what_main_returns_in_process(command, case, options, code,
+                                                        tmp_path, capsys):
+    args = [command, *([case_path(tmp_path, case)] if case else []), *options]
+    want = in_process(capsys, *args)
+    assert want[0] == code
+    assert module_run(*args) == want
+
+
+def test_module_run_of_a_defect_writes_what_main_returns_in_process(capsys, monkeypatch):
+    # a library function that is not callable stands in for a defect: exit 3,
+    # with the same traceback in both processes
+    path = case_path(None, "timing_ring_design")
+    monkeypatch.setattr(timing, "ring_design", None)
+    want = in_process(capsys, "run", path)
+    monkeypatch.undo()
+    setup = "from vlsidesk import timing\ntiming.ring_design = None"
+    assert want[0] == 3 and json.loads(want[2])["error"]["message"] == (
+        "TypeError: 'NoneType' object is not callable")
+    assert module_run("run", path, code=AS_MODULE.format(setup=setup)) == want
+
+
+FREEZE_AT_EXIT = """
+import atexit, gc, sys
+atexit.register(lambda: sys.stderr.write(f"frozen at exit: {gc.get_freeze_count() > 0}\\n"))
+"""
+
+
+@pytest.mark.parametrize("case", ["timing_ring_design", "memory_decoder_basic"])
+def test_module_run_freezes_the_heap_and_still_runs_atexit(case, capsys):
+    path = case_path(None, case)
+    want = in_process(capsys, "run", path)
+    got = module_run("run", path, code=AS_MODULE.format(setup=FREEZE_AT_EXIT))
+    assert got == (0, want[1], "frozen at exit: True\n")
+
+
+def test_main_with_an_argument_list_leaves_the_collector_alone(tmp_path, capsys):
+    assert gc.get_freeze_count() == 0
+    for args in (["run", case_path(tmp_path, "timing_ring_design")], ["list"],
+                 ["run", case_path(tmp_path, UNKNOWN)], ["frobnicate"]):
+        cli.main(args)
+        assert gc.get_freeze_count() == 0
+    capsys.readouterr()

@@ -293,6 +293,17 @@ def test_latch_stages_beyond_the_bound_are_a_size_error(n_stages):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_latch_duty_defaults_to_one_half_as_a_fraction():
+    pipe = LatchPipeline(n_stages=2)
+    assert type(pipe.duty) is Fraction and pipe.duty == Fraction(1, 2)
+    assert pipe == LatchPipeline(n_stages=2, duty=Fraction(1, 2))
+    # L0 opens at 0, L1 at T/2 and closes at T, L2 closes at 3T/2: the runs
+    # 1, 1..2 and 2 have windows T, 3T/2 and 3T/2 - T/2 = T
+    windows = [c["window"] for c in latch_constraints(pipe)["constraints"]]
+    assert all(type(w) is Fraction for w in windows)
+    assert windows == [Fraction(1), Fraction(3, 2), Fraction(1)]
+
+
 def test_latch_single_stage_window():
     res = latch_constraints(LatchPipeline(n_stages=1, duty=Fraction(2, 5)))
     assert res["constraints"][0]["text"] == "D1 + Dcq <= T - Ddc - Tskew"
